@@ -4,8 +4,14 @@ A network is a directed graph with a fixed route per flow. Interference is
 node-exclusive: any two links that touch a common node may never be active in
 the same slot. Every (link, flow) pair that can ever carry traffic -- i.e.
 every consecutive hop of every route -- is a *link-flow element*, and the
-set of all elements is indexed by a bijection onto 1..K that the solver and
-scheduler share.
+set of all elements is indexed by a bijection onto 1..K that the solver,
+scheduler and slot engine share (array positions 0..K-1).
+
+Queue state is kept in packet batches: each (node, flow) FIFO holds
+``[arrival_slot, count]`` entries, one per source arrival slot still
+present, so the cost of moving packets grows with batches, not packets.
+Queues, lengths and the arrival/service ledger are flat lists indexed by
+element position.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ class LinkFlowIndex:
 
     Triples are the consecutive route hops of every flow, ordered
     lexicographically by (i, j, f). Positions (0-based array offsets) are
-    ``index - 1``.
+    ``index - 1``; ``positions`` maps each triple to its position.
     """
 
     def __init__(self, flows: Iterable[FlowSpec]):
@@ -97,17 +103,17 @@ class LinkFlowIndex:
                 triples.append(t)
         triples.sort()
         self.triples: tuple[Triple, ...] = tuple(triples)
-        self._index: dict[Triple, int] = {t: k for k, t in enumerate(triples, start=1)}
+        self.positions: dict[Triple, int] = {t: p for p, t in enumerate(triples)}
 
     def __len__(self) -> int:
         return len(self.triples)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._index
+        return triple in self.positions
 
     def index(self, i: int, j: int, f: int) -> int:
         """1-based index of (i, j, f); raises KeyError for unknown triples."""
-        return self._index[(i, j, f)]
+        return self.positions[(i, j, f)] + 1
 
     def triple(self, k: int) -> Triple:
         """Inverse map: the triple with index k (1-based)."""
@@ -137,7 +143,6 @@ class _SolverWorkspace:
         self.nodes = sorted(members)  # nodes with at least one incident element
         self.node_constraint = {n: cid for cid, n in enumerate(self.nodes)}
         self.members: list[list[int]] = [members[n] for n in self.nodes]
-        self.members_np = [np.asarray(m, dtype=np.intp) for m in self.members]
         self.sizes = [len(m) for m in self.members]
         # element -> its two endpoint constraints, their support overlap, and
         # whether the two supports coincide (degenerate pair)
@@ -208,35 +213,51 @@ class SimulationInvariantError(AssertionError):
 
 
 class QueueMatrix:
-    """Per (node, flow) FIFO queues of source-timestamped packets.
+    """Per (node, flow) FIFO queues of packet batches.
 
-    Packets are integers: the slot in which they entered the network at the
-    flow source. Destination queues do not exist -- a packet reaching its
-    destination departs immediately and its end-to-end delay is recorded.
-    Cumulative arrival/service counters back the exact queue-balance check.
+    A batch ``[arrival_slot, count]`` stands for ``count`` packets that
+    entered the network at the flow source in ``arrival_slot``. Every packet
+    of one Poisson draw shares its slot, so a queue holds at most one batch
+    per arrival slot, oldest first: ``transfer`` moves whole batches and
+    splits at most the head one. Destination queues do not exist -- a packet
+    reaching its destination departs immediately and its end-to-end delay is
+    recorded.
+
+    Queues share the element index: queue (i, f) sits at the position of the
+    one element that serves it, (i, next hop, f). Each queue keeps its length
+    in a counter that the batch operations update by the packets they move;
+    cumulative arrival (per queue) and service (per element) counters back
+    the exact queue-balance check.
     """
 
     def __init__(self, model: NetworkModel):
         self.model = model
-        self._index = model.link_flow_index
-        self._q: dict[tuple[int, int], deque] = {}
-        self._arrived: dict[tuple[int, int], int] = {}
-        self._served: dict[Triple, int] = {t: 0 for t in self._index.triples}
-        self._flow_total: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
+        index = model.link_flow_index
+        self.triples = index.triples
+        size = len(self.triples)
+        self._size = size
+        self._pos = index.positions
+        self._queue: dict[tuple[int, int], int] = {
+            (i, f): p for p, (i, j, f) in enumerate(self.triples)
+        }
+        # downstream queue of each element; ``size`` stands for the destination
+        self._down = [size if j == f else self._queue[(j, f)] for (i, j, f) in self.triples]
+        self._fifo: list[deque] = [deque() for _ in range(size)]
+        # the spare last entry is the destination's length and the served
+        # count of the missing upstream element at a flow source: both stay 0
+        self._len = [0] * (size + 1)
+        self._served = [0] * (size + 1)
+        self._arrived = [0] * size
+        # ledger wiring: each queue with its upstream element on the fixed
+        # route (``size`` at the source) and its FIFO, in flow and route order
+        self._balance: list[tuple[int, int, deque]] = []
         for flow in model.flows:
+            up = size
             for node in flow.route[:-1]:
-                key = (node, flow.flow_id)
-                self._q[key] = deque()
-                self._arrived[key] = 0
-        # ledger wiring: for each (node, flow) queue its unique upstream and
-        # downstream elements on the fixed route (None at source / before dest)
-        self._balance: list[tuple[tuple[int, int], Optional[Triple], Optional[Triple]]] = []
-        for flow in model.flows:
-            route = flow.route
-            for n, node in enumerate(route[:-1]):
-                up = (route[n - 1], node, flow.flow_id) if n > 0 else None
-                down = (node, route[n + 1], flow.flow_id)
-                self._balance.append(((node, flow.flow_id), up, down))
+                q = self._queue[(node, flow.flow_id)]
+                self._balance.append((q, up, self._fifo[q]))
+                up = q
+        self._flow_total: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delivered: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_sum: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_hist: dict[int, dict[int, int]] = {fl.flow_id: {} for fl in model.flows}
@@ -247,10 +268,10 @@ class QueueMatrix:
     def length(self, i: int, f: int) -> int:
         if i == f:
             return 0  # destination queue is always empty
-        q = self._q.get((i, f))
-        if q is None:
+        p = self._queue.get((i, f))
+        if p is None:
             raise KeyError(f"no queue for node {i}, flow {f}")
-        return len(q)
+        return self._len[p]
 
     def flow_backlog(self, f: int) -> int:
         return self._flow_total[f]
@@ -267,17 +288,22 @@ class QueueMatrix:
         return self._delivered_total
 
     def arrived(self, i: int, f: int) -> int:
-        return self._arrived[(i, f)]
+        return self._arrived[self._queue[(i, f)]]
 
     def served(self, i: int, j: int, f: int) -> int:
-        return self._served[(i, j, f)]
+        return self._served[self._pos[(i, j, f)]]
 
     def add_arrivals(self, i: int, f: int, count: int, slot: int) -> None:
         if count <= 0:
             return
-        key = (i, f)
-        self._q[key].extend([slot] * count)
-        self._arrived[key] += count
+        p = self._queue[(i, f)]
+        fifo = self._fifo[p]
+        if fifo and fifo[-1][0] == slot:
+            fifo[-1][1] += count
+        else:
+            fifo.append([slot, count])
+        self._len[p] += count
+        self._arrived[p] += count
         self._flow_total[f] += count
         self._total += count
         self._injected += count
@@ -288,53 +314,87 @@ class QueueMatrix:
         Packets reaching the destination are recorded as delivered with delay
         = slot - source arrival slot. Returns the number moved.
         """
-        triple = (i, j, f)
-        if triple not in self._index:
-            raise KeyError(f"unknown link-flow element {triple}")
-        src = self._q[(i, f)]
-        n = min(len(src), max_packets)
-        if n <= 0:
+        try:
+            p = self._pos[(i, j, f)]
+        except KeyError:
+            raise KeyError(f"unknown link-flow element {(i, j, f)}") from None
+        length = self._len
+        left = length[p]
+        if max_packets < left:
+            left = max_packets
+        if left <= 0:
             return 0
-        if j == f:
+        want = left
+        src = self._fifo[p]
+        q = self._down[p]
+        if q == self._size:
             hist = self.delay_hist[f]
             dsum = 0
-            for _ in range(n):
-                ts = src.popleft()
-                d = slot - ts
-                dsum += d
-                hist[d] = hist.get(d, 0) + 1
+            while left and src:
+                head = src[0]
+                arrival, count = head
+                if count <= left:
+                    src.popleft()
+                    take = count
+                else:
+                    head[1] = count - left
+                    take = left
+                d = slot - arrival
+                hist[d] = hist.get(d, 0) + take
+                dsum += d * take
+                left -= take
+            n = want - left
             self.delivered[f] += n
             self.delay_sum[f] += dsum
             self._flow_total[f] -= n
             self._total -= n
             self._delivered_total += n
         else:
-            dst = self._q[(j, f)]
-            for _ in range(n):
-                dst.append(src.popleft())
-        self._served[triple] += n
+            dst = self._fifo[q]
+            while left and src:
+                head = src[0]
+                arrival, count = head
+                if count <= left:
+                    src.popleft()
+                    take = count
+                else:
+                    head[1] = count - left
+                    take = left
+                if dst and dst[-1][0] == arrival:
+                    dst[-1][1] += take
+                elif take == count:
+                    dst.append(head)
+                else:
+                    dst.append([arrival, take])
+                left -= take
+            n = want - left
+            length[q] += n
+        length[p] -= n
+        self._served[p] += n
         return n
 
     def snapshot(self) -> QueueSnapshot:
-        dif = np.empty(len(self._index), dtype=np.int64)
-        for pos, (i, j, f) in enumerate(self._index.triples):
-            qj = 0 if j == f else len(self._q[(j, f)])
-            d = len(self._q[(i, f)]) - qj
-            dif[pos] = d if d > 0 else 0
+        length = self._len
+        dif = np.array([length[p] - length[q] for p, q in enumerate(self._down)], dtype=np.int64)
+        np.maximum(dif, 0, out=dif)
         return QueueSnapshot(dif, dict(self._flow_total), self._total)
 
     def verify_balance(self, slot: int) -> None:
-        """Exact queue-balance identity, plus global packet conservation."""
-        for key, up, down in self._balance:
-            expect = self._arrived[key]
-            if up is not None:
-                expect += self._served[up]
-            if down is not None:
-                expect -= self._served[down]
-            if len(self._q[key]) != expect:
+        """Exact queue-balance identity, plus global packet conservation.
+
+        Every queue's length counter must equal its arrivals plus what its
+        upstream element served minus what its own element served, and be
+        zero exactly when its FIFO holds no batch.
+        """
+        length, arrived, served = self._len, self._arrived, self._served
+        for q, up, fifo in self._balance:
+            have = length[q]
+            expect = arrived[q] + served[up] - served[q]
+            if have != expect or (have == 0) != (not fifo):
+                i, _, f = self.triples[q]
                 raise SimulationInvariantError(
-                    f"slot {slot}: queue balance broken at node {key[0]} flow {key[1]}: "
-                    f"have {len(self._q[key])}, ledger says {expect}"
+                    f"slot {slot}: queue balance broken at node {i} flow {f}: "
+                    f"have {have} ({sum(c for _, c in fifo)} in batches), ledger says {expect}"
                 )
         if self._injected != self._total + self._delivered_total:
             raise SimulationInvariantError(

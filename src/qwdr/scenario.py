@@ -79,6 +79,8 @@ class ScenarioConfig:
             raise ConfigError(f"run.mode: expected one of {_MODES}, got {self.mode!r}")
         if self.gain_model not in _GAIN_MODELS:
             raise ConfigError(f"channel.gain_model: expected one of {_GAIN_MODELS}")
+        if self.queue_sample_interval < 0:
+            raise ConfigError("run.queue_sample_interval: must be >= 0 (0 turns sampling off)")
         if self.channel_seed is None:
             self.channel_seed = self.seed
         if self.arrival_seed is None:

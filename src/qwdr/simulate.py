@@ -8,6 +8,12 @@ packets: each active element serves min(queue, floor(rate)) head-of-line
 packets per slot, after which that slot's exogenous arrivals are enqueued.
 A packet therefore spends at least one slot per hop, and the cumulative
 arrival/service ledger reproduces every queue length exactly.
+
+The engine works in element positions: the schedule's active positions and
+a per-position service budget go straight to ``step_slot``, and the queues
+move packets in arrival-slot batches (see ``QueueMatrix``). Batching changes
+the cost, not the semantics: head-of-line order, at least one slot per hop
+and the exact ledger are as they would be with one entry per packet.
 """
 
 from __future__ import annotations
@@ -18,12 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import (
-    NetworkModel,
-    QueueMatrix,
-    SimulationInvariantError,
-    Triple,
-)
+from .network import NetworkModel, QueueMatrix, SimulationInvariantError
 from .solver import SolverConfig, WeightConfig, gradient_vector, solve_allocation
 from .stochastic import ArrivalProcess, ChannelModel, ChannelState
 
@@ -110,31 +111,34 @@ def create_schedule(
 
 def step_slot(
     queues: QueueMatrix,
-    active: list[Triple],
-    service: dict[Triple, int],
+    active: list[int],
+    service: list[int],
     arrivals: list[tuple[tuple[int, int], int]],
     slot: int,
     check: bool = True,
-) -> dict[Triple, int]:
+) -> dict[int, int]:
     """Advance one slot: serve the scheduled elements, then enqueue arrivals.
 
-    ``service`` maps each element to its per-slot packet budget (floor of the
-    link rate). Active elements are verified node-disjoint, so transfers read
-    consistent start-of-slot queues in any order. Returns packets moved per
-    element.
+    ``active`` lists element positions; ``service[p]`` is element p's
+    per-slot packet budget (floor of the link rate); ``arrivals`` pairs
+    (source node, flow) with an int packet count. Active elements are
+    verified node-disjoint, so transfers read consistent start-of-slot
+    queues in any order. Returns packets moved per active position.
     """
+    triples = queues.triples
     seen: set[int] = set()
-    moved: dict[Triple, int] = {}
-    for (i, j, f) in active:
+    moved: dict[int, int] = {}
+    for p in active:
+        i, j, f = triples[p]
         if i in seen or j in seen:
             raise SimulationInvariantError(
                 f"slot {slot}: interference violation at element {(i, j, f)}"
             )
         seen.add(i)
         seen.add(j)
-        moved[(i, j, f)] = queues.transfer(i, j, f, service[(i, j, f)], slot)
+        moved[p] = queues.transfer(i, j, f, service[p], slot)
     for (node, flow), count in arrivals:
-        queues.add_arrivals(node, flow, int(count), slot)
+        queues.add_arrivals(node, flow, count, slot)
     if check:
         queues.verify_balance(slot)
     return moved
@@ -194,14 +198,16 @@ def run(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if queue_sample_interval < 0:
+        raise ValueError("queue_sample_interval must be >= 0")
     solver_cfg = solver_cfg or SolverConfig()
     weight_cfg = weight_cfg or WeightConfig()
     queues = QueueMatrix(model)
-    index = model.link_flow_index
-    K = len(index)
+    triples = queues.triples
     flow_ids = [fl.flow_id for fl in model.flows]
-    link_pos = [channel.links.index((i, j)) for (i, j, f) in index.triples]
+    link_pos = [channel.links.index((i, j)) for (i, j, f) in triples]
     source_list = list(arrivals.sources)
+    flow_backlog = queues.flow_backlog
 
     reviews: list[ReviewRecord] = []
     samples: list[tuple] = []
@@ -229,35 +235,31 @@ def run(
         if bool(np.any(schedule.counts[snap.differentials == 0] > 0)):
             zero_scheduled += int(schedule.counts[snap.differentials == 0].sum())
         reviews.append(ReviewRecord(review_index, t, t + period, total))
-        rates = state.rates
-        service = {
-            index.triples[p]: int(rates[link_pos[p]]) for p in range(K)
-        }
-        active_triples = [
-            [index.triples[p] for p in slot_elems] for slot_elems in schedule.active
-        ]
-        for off in range(period):
-            if t >= horizon:
-                break
-            counts = arrivals.draw(t)
-            arr = [(source_list[s], int(counts[s])) for s in range(len(source_list))]
-            step_slot(queues, active_triples[off], service, arr, t)
+        rates = state.rates.tolist()
+        service = [int(rates[link]) for link in link_pos]
+        start = t
+        stop = min(t + period, horizon)
+        for t in range(start, stop):
+            counts = arrivals.draw(t).tolist()
+            arr = [(source_list[s], c) for s, c in enumerate(counts) if c]
+            active = schedule.active[t - start]
+            step_slot(queues, active, service, arr, t)
             if record_schedule:
-                sched_trace.extend((t, i, j, f) for (i, j, f) in active_triples[off])
+                sched_trace.extend((t, *triples[p]) for p in active)
             total_now = queues.total()
             total_sum += total_now
             if total_now > max_total:
                 max_total = total_now
             for f in flow_ids:
-                b = queues.flow_backlog(f)
+                b = flow_backlog(f)
                 flow_sum[f] += b
                 if b > flow_max[f]:
                     flow_max[f] = b
             if series is not None:
                 series[t] = total_now
             if queue_sample_interval and t % queue_sample_interval == 0:
-                samples.append((t, total_now, tuple(queues.flow_backlog(f) for f in flow_ids)))
-            t += 1
+                samples.append((t, total_now, tuple(flow_backlog(f) for f in flow_ids)))
+        t = stop
         review_index += 1
 
     return RunResult(

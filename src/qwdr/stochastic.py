@@ -62,9 +62,6 @@ class ChannelState:
     def rate(self, link: Link) -> float:
         return float(self.rates[self._pos[link]])
 
-    def position(self, link: Link) -> int:
-        return self._pos[link]
-
 
 class ChannelModel:
     """Truncated fading gains per link, redrawn i.i.d. each review period.

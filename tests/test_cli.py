@@ -60,6 +60,16 @@ class TestRun:
         assert doc["config"]["run"]["mode"] == "unweighted"
 
 
+    def test_negative_queue_sample_interval_exit_code(self, tmp_path, capsys):
+        doc = tandem_doc()
+        doc["run"]["queue_sample_interval"] = -7
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "run.queue_sample_interval" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 class TestCapacity:
     def test_inside_and_outside(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tandem_doc(rate=1.5))

@@ -1,0 +1,59 @@
+"""Byte identity of ``metrics.json`` against the benchmark's recorded digests.
+
+``perfbench/references.json`` pins the sha256 of ``metrics.json`` for every
+benchmark workload and seed. This test rebuilds seeds 0 and 1 of each
+workload exactly as a benchmark run process does (``perfbench/one_run.py``):
+the spec from ``perfbench/workloads.make_spec``, passed through JSON, the
+scenario and configs from it, one ``run()`` at the workload's horizon and
+``collect_metrics`` into a directory. Any drift in the simulator's output
+then fails here, not only in the benchmark. ``perfbench/`` is only read.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+import qwdr
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_metrics_digest_matches_reference(name, seed, tmp_path):
+    reference = REFERENCES[name]
+    horizon = workloads.HORIZON[name]
+    assert reference["horizon"] == horizon
+    spec = json.loads(json.dumps(workloads.make_spec(name, seed)))
+    if "preset" in spec:
+        cfg = qwdr.make_paper15_scenario(**spec["preset"])
+    else:
+        cfg = qwdr.scenario_from_dict(spec["doc"])
+    assert cfg.horizon_slots == horizon
+    result = qwdr.run(
+        cfg.build_model(),
+        cfg.build_channel(),
+        cfg.build_arrivals(),
+        horizon=horizon,
+        solver_cfg=cfg.build_solver_config(),
+        weight_cfg=cfg.build_weight_config(),
+        k0=cfg.k0,
+        queue_sample_interval=cfg.queue_sample_interval,
+    )
+    qwdr.collect_metrics(result, cfg, out_dir=str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
+    assert digest == reference["digests"][str(seed)]

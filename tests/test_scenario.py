@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qwdr import ConfigError, load_scenario, make_paper15_scenario, scenario_from_dict
+from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, scenario_from_dict
 
 
 def minimal_doc():
@@ -41,6 +41,17 @@ class TestLoadScenario:
         doc["flows"][0]["rate"] = -2.0
         with pytest.raises(ConfigError, match="flows"):
             scenario_from_dict(doc)
+
+    def test_negative_queue_sample_interval_rejected(self):
+        doc = minimal_doc()
+        doc["run"] = {"queue_sample_interval": -7}
+        with pytest.raises(ConfigError, match=r"run\.queue_sample_interval"):
+            scenario_from_dict(doc)
+        cfg = scenario_from_dict(minimal_doc())
+        with pytest.raises(ConfigError, match=r"run\.queue_sample_interval"):
+            ScenarioConfig(cfg.name, cfg.coordinates, cfg.links, cfg.flows, queue_sample_interval=-1)
+        doc["run"] = {"queue_sample_interval": 0}  # zero turns sampling off
+        assert scenario_from_dict(doc).queue_sample_interval == 0
 
     def test_missing_links_rejected(self):
         doc = minimal_doc()

@@ -97,29 +97,29 @@ class TestStepSlot:
         queues = queues_with(model, {(1, 2): 3})
         moved = step_slot(
             queues,
-            active=[(1, 2, 2)],
-            service={(1, 2, 2): 4},
+            active=[0],
+            service=[4],
             arrivals=[((1, 2), 2)],
             slot=0,
         )
-        assert moved[(1, 2, 2)] == 3  # serve start-of-slot queue, then enqueue
+        assert moved[0] == 3  # serve start-of-slot queue, then enqueue
         assert queues.length(1, 2) == 2
         assert queues.delivered[2] == 3
 
     def test_no_active_elements_queues_grow(self):
         model = single_link_model()
         queues = queues_with(model, {})
-        step_slot(queues, active=[], service={}, arrivals=[((1, 2), 5)], slot=0)
+        step_slot(queues, active=[], service=[0], arrivals=[((1, 2), 5)], slot=0)
         assert queues.length(1, 2) == 5
 
     def test_relay_chain_two_slots(self):
         # chain 1 -> 2 -> 3, Q1 = 5, links alternate, floor(mu) = 2
         model = tandem_model()
         queues = queues_with(model, {(1, 3): 5})
-        service = {(1, 2, 3): 2, (2, 3, 3): 2}
-        step_slot(queues, [(1, 2, 3)], service, [], slot=0)
+        service = [2, 2]
+        step_slot(queues, [0], service, [], slot=0)
         assert queues.length(2, 3) == 2
-        step_slot(queues, [(2, 3, 3)], service, [], slot=1)
+        step_slot(queues, [1], service, [], slot=1)
         assert queues.length(2, 3) == 0
         assert queues.delivered[3] == 2
         assert queues.injected == queues.total() + queues.delivered_total
@@ -130,8 +130,8 @@ class TestStepSlot:
         with pytest.raises(SimulationInvariantError, match="interference"):
             step_slot(
                 queues,
-                active=[(1, 2, 3), (2, 3, 3)],  # share node 2
-                service={(1, 2, 3): 1, (2, 3, 3): 1},
+                active=[0, 1],  # (1, 2, 3) and (2, 3, 3) share node 2
+                service=[1, 1],
                 arrivals=[],
                 slot=0,
             )
@@ -196,6 +196,13 @@ class TestRun:
         second_half = res.queues.delivered_total - res.queues.injected + res.queues.total()
         # delivered / slot over the whole run within 2% of the arrival rate
         assert res.queues.delivered_total / res.horizon == pytest.approx(1.0, rel=0.02)
+
+    def test_negative_queue_sample_interval_rejected(self):
+        model = single_link_model(1.0)
+        channel = fixed_channel(model, 2.2)
+        arrivals = ArrivalProcess([(1, 2)], [1.0], seed=2)
+        with pytest.raises(ValueError, match="queue_sample_interval"):
+            run(model, channel, arrivals, horizon=50, queue_sample_interval=-7)
 
     def test_review_log_consistent(self):
         res = run_single_link(1.0, 2.2, horizon=3000)
