@@ -325,6 +325,9 @@ class QueueMatrix:
         if left <= 0:
             return 0
         want = left
+        # the loops also stop when the batches run out before the counter
+        # does: the counter then keeps what was not moved and the balance
+        # check reports the queue instead of an IndexError here
         src = self._fifo[p]
         q = self._down[p]
         if q == self._size:

@@ -59,7 +59,6 @@ class TestRun:
         assert doc["config"]["run"]["seed"] == 9
         assert doc["config"]["run"]["mode"] == "unweighted"
 
-
     def test_negative_queue_sample_interval_exit_code(self, tmp_path, capsys):
         doc = tandem_doc()
         doc["run"]["queue_sample_interval"] = -7
@@ -69,6 +68,7 @@ class TestRun:
         assert "run.queue_sample_interval" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
 
 class TestCapacity:
     def test_inside_and_outside(self, tmp_path, capsys):
