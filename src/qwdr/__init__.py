@@ -17,14 +17,13 @@ from .network import (
     QueueSnapshot,
     SimulationInvariantError,
     build_interference_sets,
-    build_link_flow_index,
-    differential_backlog,
 )
 from .oracle import (
     CapacityQuery,
     CapacityResult,
     LinearProgramInstance,
     SizeError,
+    alternating_projection_pair,
     capacity_membership,
     enumerate_activation_sets,
     lp_solve_exact,
@@ -45,8 +44,6 @@ from .solver import (
     SolverConfig,
     WeightConfig,
     allocation_objective,
-    alternating_projection_pair,
-    gradient,
     gradient_vector,
     node_constraints,
     project_onto_halfspace,
@@ -85,15 +82,12 @@ __all__ = [
     "allocation_objective",
     "alternating_projection_pair",
     "build_interference_sets",
-    "build_link_flow_index",
     "capacity_membership",
     "collect_metrics",
     "compare_runs",
     "create_schedule",
-    "differential_backlog",
     "enumerate_activation_sets",
     "flow_metrics",
-    "gradient",
     "gradient_vector",
     "load_scenario",
     "lp_solve_exact",

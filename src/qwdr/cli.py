@@ -20,6 +20,8 @@ from .simulate import run as run_simulation
 
 def _apply_overrides(cfg, args):
     if getattr(args, "slots", None) is not None:
+        if args.slots < 1:
+            raise ConfigError(f"run.horizon_slots: must be >= 1 (--slots {args.slots})")
         cfg.horizon_slots = args.slots
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed

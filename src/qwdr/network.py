@@ -4,8 +4,8 @@ A network is a directed graph with a fixed route per flow. Interference is
 node-exclusive: any two links that touch a common node may never be active in
 the same slot. Every (link, flow) pair that can ever carry traffic -- i.e.
 every consecutive hop of every route -- is a *link-flow element*, and the
-set of all elements is indexed by a bijection onto 1..K that the solver,
-scheduler and slot engine share (array positions 0..K-1).
+set of all elements is indexed by its positions 0..K-1, the one index the
+solver, scheduler and slot engine share.
 
 Queue state is kept in packet batches: each (node, flow) FIFO holds
 ``[arrival_slot, count]`` entries, one per source arrival slot still
@@ -17,7 +17,7 @@ element position.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -84,11 +84,11 @@ def build_interference_sets(links: Iterable[Link]) -> dict[int, frozenset[Link]]
 
 
 class LinkFlowIndex:
-    """Bijection between admissible (i, j, f) triples and 1..K.
+    """Bijection between admissible (i, j, f) triples and positions 0..K-1.
 
     Triples are the consecutive route hops of every flow, ordered
-    lexicographically by (i, j, f). Positions (0-based array offsets) are
-    ``index - 1``; ``positions`` maps each triple to its position.
+    lexicographically by (i, j, f): ``triples[p]`` is the element at
+    position p and ``positions`` maps each triple back to its position.
     """
 
     def __init__(self, flows: Iterable[FlowSpec]):
@@ -110,20 +110,6 @@ class LinkFlowIndex:
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.positions
-
-    def index(self, i: int, j: int, f: int) -> int:
-        """1-based index of (i, j, f); raises KeyError for unknown triples."""
-        return self.positions[(i, j, f)] + 1
-
-    def triple(self, k: int) -> Triple:
-        """Inverse map: the triple with index k (1-based)."""
-        if not 1 <= k <= len(self.triples):
-            raise KeyError(f"link-flow index {k} out of range 1..{len(self.triples)}")
-        return self.triples[k - 1]
-
-
-def build_link_flow_index(flows: Iterable[FlowSpec]) -> LinkFlowIndex:
-    return LinkFlowIndex(flows)
 
 
 class _SolverWorkspace:
@@ -182,7 +168,7 @@ class NetworkModel:
                 if hop not in link_set:
                     raise ValueError(f"flow {flow.flow_id}: route hop {hop} is not a link")
         self.interference_sets = build_interference_sets(self.links)
-        self.link_flow_index = build_link_flow_index(self.flows)
+        self.link_flow_index = LinkFlowIndex(self.flows)
         self._workspace: Optional[_SolverWorkspace] = None
 
     @property
@@ -404,11 +390,3 @@ class QueueMatrix:
                 f"slot {slot}: packet conservation broken: injected {self._injected}, "
                 f"queued {self._total} + delivered {self._delivered_total}"
             )
-
-
-def differential_backlog(queues: QueueMatrix, i: int, j: int, f: int) -> int:
-    """max(Q_i - Q_j, 0) for element (i, j, f); destination backlog counts as 0."""
-    if (i, j, f) not in queues.model.link_flow_index:
-        raise KeyError(f"unknown link-flow element {(i, j, f)}")
-    qj = 0 if j == f else queues.length(j, f)
-    return max(queues.length(i, f) - qj, 0)

@@ -59,7 +59,7 @@ class ScenarioConfig:
     fixed_rates: Optional[dict[Link, float]] = None
     alpha: float = 1e-4
     cycles: int = 15
-    n_rep: int = 10
+    n_rep: int = 10  # accepted and echoed in the output; nothing reads it
     tolerance: float = 1e-9
     a1: float = 0.2
     a2: float = 2.0
@@ -81,6 +81,18 @@ class ScenarioConfig:
             raise ConfigError(f"channel.gain_model: expected one of {_GAIN_MODELS}")
         if self.queue_sample_interval < 0:
             raise ConfigError("run.queue_sample_interval: must be >= 0 (0 turns sampling off)")
+        if self.alpha <= 0:
+            raise ConfigError("solver.alpha: must be > 0")
+        if self.cycles < 1:
+            raise ConfigError("solver.cycles: must be >= 1")
+        if self.tolerance < 0:
+            raise ConfigError("solver.tolerance: must be >= 0")
+        if self.n_rep < 1:
+            raise ConfigError("solver.n_rep: must be >= 1")
+        if self.a1 < 0:
+            raise ConfigError("weights.a1: must be >= 0")
+        if self.a2 <= 0:
+            raise ConfigError("weights.a2: must be > 0")
         if self.channel_seed is None:
             self.channel_seed = self.seed
         if self.arrival_seed is None:
@@ -140,9 +152,7 @@ class ScenarioConfig:
         return WeightConfig.from_flows(self.flows, a1=a1, a2=self.a2)
 
     def build_solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            alpha=self.alpha, cycles=self.cycles, n_rep=self.n_rep, tolerance=self.tolerance
-        )
+        return SolverConfig(alpha=self.alpha, cycles=self.cycles, tolerance=self.tolerance)
 
     # -- (de)serialization ---------------------------------------------------
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .network import NetworkModel, QueueMatrix, SimulationInvariantError
-from .solver import SolverConfig, WeightConfig, gradient_vector, solve_allocation
+from .solver import SolverConfig, WeightConfig, solve_allocation
 from .stochastic import ArrivalProcess, ChannelModel, ChannelState
 
 
@@ -115,7 +115,6 @@ def step_slot(
     service: list[int],
     arrivals: list[tuple[tuple[int, int], int]],
     slot: int,
-    check: bool = True,
 ) -> dict[int, int]:
     """Advance one slot: serve the scheduled elements, then enqueue arrivals.
 
@@ -123,7 +122,8 @@ def step_slot(
     per-slot packet budget (floor of the link rate); ``arrivals`` pairs
     (source node, flow) with an int packet count. Active elements are
     verified node-disjoint, so transfers read consistent start-of-slot
-    queues in any order. Returns packets moved per active position.
+    queues in any order, and the exact queue ledger is checked after the
+    arrivals. Returns packets moved per active position.
     """
     triples = queues.triples
     seen: set[int] = set()
@@ -139,8 +139,7 @@ def step_slot(
         moved[p] = queues.transfer(i, j, f, service[p], slot)
     for (node, flow), count in arrivals:
         queues.add_arrivals(node, flow, count, slot)
-    if check:
-        queues.verify_balance(slot)
+    queues.verify_balance(slot)
     return moved
 
 
@@ -205,7 +204,7 @@ def run(
     queues = QueueMatrix(model)
     triples = queues.triples
     flow_ids = [fl.flow_id for fl in model.flows]
-    link_pos = [channel.links.index((i, j)) for (i, j, f) in triples]
+    link_pos = [channel.positions[(i, j)] for (i, j, f) in triples]
     source_list = list(arrivals.sources)
     flow_backlog = queues.flow_backlog
 

@@ -29,9 +29,12 @@ Geometry note: a node constraint is a halfspace whose normal is the 0/1
 indicator of its member elements. Projecting onto its boundary subtracts the
 same amount, excess / support size, from every member. For a violated *pair*
 the exact Euclidean projection onto the intersection has a closed form (a
-2x2 KKT system over the two indicators); ``project_pair`` computes that
-limit directly, which is what the corrected alternating scheme
-(``alternating_projection_pair``) converges to.
+2x2 KKT system over the two indicators). One private kernel,
+``_pair_multipliers``, holds that case analysis: it turns the two excesses
+into the amounts to subtract from each constraint's members. The solver's
+step and the public ``project_pair`` both call it. The iterative scheme it
+is the limit of, Boyle-Dykstra corrected alternation, is kept as a test
+reference in ``oracle.alternating_projection_pair``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ import numpy as np
 
 from .network import NetworkModel, QueueSnapshot
 from .stochastic import ChannelState
+
+#: excess below which a node constraint counts as satisfied
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -135,96 +141,70 @@ def project_onto_halfspace(s: np.ndarray, constraint: HalfspaceConstraint) -> np
     return out
 
 
+def _pair_multipliers(
+    ea: float, eb: float, na: int, nb: int, overlap: int, same_support: bool, tol: float
+) -> tuple[float, float]:
+    """Amounts (la, lb) to subtract from the members of constraints a and b.
+
+    The exact Euclidean projection onto the intersection of two halfspaces
+    whose excesses over their bounds are ``ea`` and ``eb`` (at least one of
+    them above ``tol``). ``na`` and ``nb`` are the support sizes and
+    ``overlap`` is the size of their intersection. Case analysis on the
+    active set; a 2x2 KKT solve when both constraints bind.
+    """
+    if same_support:
+        # identical supports: only the tighter constraint, the one with the
+        # larger excess, can bind
+        return (ea / na, 0.0) if ea >= eb else (0.0, eb / nb)
+    if eb <= tol:
+        return ea / na, 0.0
+    if ea <= tol:
+        return 0.0, eb / nb
+    det = na * nb - overlap * overlap
+    la = (ea * nb - eb * overlap) / det
+    lb = (eb * na - ea * overlap) / det
+    if la >= 0.0 and lb >= 0.0:
+        return la, lb
+    if la < 0.0:
+        return 0.0, eb / nb
+    return ea / na, 0.0
+
+
 def project_pair(
     s: np.ndarray,
     constraint_a: HalfspaceConstraint,
     constraint_b: HalfspaceConstraint,
-    n_rep: int = 10,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Euclidean projection of s onto the intersection of two halfspaces.
 
-    Computes the limit of the corrected alternating projection scheme in
-    closed form (case analysis on the active set; a 2x2 KKT solve when both
-    constraints bind). ``n_rep`` and ``tol`` are accepted for signature
-    compatibility with the iterative scheme and bound the fallback used for
-    a degenerate (identical-support) pair.
+    The closed-form limit of the corrected alternating projection scheme
+    (``oracle.alternating_projection_pair``); see ``_pair_multipliers``.
     """
     s = np.asarray(s, dtype=float)
-    ma = list(constraint_a.members)
-    mb = list(constraint_b.members)
-    ea = float(np.sum(s[ma])) - constraint_a.bound
-    eb = float(np.sum(s[mb])) - constraint_b.bound
-    if ea <= tol and eb <= tol:
-        return s.copy()
-    na, nb = constraint_a.size, constraint_b.size
-    if set(ma) == set(mb):
-        # identical supports: at most one distinct constraint can bind
-        tighter = constraint_a if constraint_a.bound <= constraint_b.bound else constraint_b
-        return project_onto_halfspace(s, tighter)
-    if eb <= tol:
-        return project_onto_halfspace(s, constraint_a)
-    if ea <= tol:
-        return project_onto_halfspace(s, constraint_b)
-    ov = len(set(ma) & set(mb))
-    det = na * nb - ov * ov
-    la = (ea * nb - eb * ov) / det
-    lb = (eb * na - ea * ov) / det
+    ea = constraint_a.value(s) - constraint_a.bound
+    eb = constraint_b.value(s) - constraint_b.bound
     out = s.copy()
-    if la >= 0 and lb >= 0:
-        out[ma] -= la
-        out[mb] -= lb
-    elif la < 0:
-        out[mb] -= eb / nb
-    else:
-        out[ma] -= ea / na
+    if ea > TOLERANCE or eb > TOLERANCE:
+        ma, mb = set(constraint_a.members), set(constraint_b.members)
+        la, lb = _pair_multipliers(
+            ea, eb, constraint_a.size, constraint_b.size, len(ma & mb), ma == mb, TOLERANCE
+        )
+        out[list(constraint_a.members)] -= la
+        out[list(constraint_b.members)] -= lb
     return out
-
-
-def alternating_projection_pair(
-    s: np.ndarray,
-    constraint_a: HalfspaceConstraint,
-    constraint_b: HalfspaceConstraint,
-    n_rep: int = 10,
-    tol: float = 1e-9,
-) -> np.ndarray:
-    """Iterative reference for ``project_pair``: corrected alternating rounds.
-
-    Each round projects onto constraint a then b, carrying the standard
-    correction vectors so the iteration converges to the projection onto the
-    intersection rather than merely a feasible point. Stops after ``n_rep``
-    rounds or when a round no longer moves the point.
-    """
-    x = np.asarray(s, dtype=float).copy()
-    corrections = [np.zeros_like(x), np.zeros_like(x)]
-    constraints = (constraint_a, constraint_b)
-    for _ in range(max(1, n_rep)):
-        moved = 0.0
-        for idx, con in enumerate(constraints):
-            y = x + corrections[idx]
-            z = project_onto_halfspace(y, con)
-            corrections[idx] = y - z
-            moved = max(moved, float(np.max(np.abs(z - x))) if z.shape else 0.0)
-            x = z
-        if moved <= tol:
-            break
-    return x
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     alpha: float = 1e-4
     cycles: int = 15
-    n_rep: int = 10
-    tolerance: float = 1e-9
+    tolerance: float = TOLERANCE
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise ValueError("alpha must be > 0")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
-        if self.n_rep < 1:
-            raise ValueError("n_rep must be >= 1")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
 
@@ -236,31 +216,20 @@ def _flow_weights(snapshot: QueueSnapshot, model: NetworkModel, cfg: WeightConfi
     }
 
 
-def gradient(
-    k: int,
-    snapshot: QueueSnapshot,
-    channel: ChannelState,
-    model: NetworkModel,
-    weight_cfg: WeightConfig,
-) -> float:
-    """Ascent direction of element k (1-based): w(Qf) * Qij_f * mu_ij."""
-    i, j, f = model.link_flow_index.triple(k)
-    w = weight(snapshot.flow_backlogs.get(f, 0), weight_cfg.thresholds.get(f), weight_cfg)
-    return w * float(snapshot.differentials[k - 1]) * channel.rate((i, j))
-
-
 def gradient_vector(
     snapshot: QueueSnapshot,
     channel: ChannelState,
     model: NetworkModel,
     weight_cfg: WeightConfig,
 ) -> np.ndarray:
-    """All element gradients at once, in index order."""
+    """Element gradients w(Qf) * Qij_f * mu_ij, in position order."""
     index = model.link_flow_index
     w = _flow_weights(snapshot, model, weight_cfg)
+    link_pos = channel.positions
+    rates = channel.rates.tolist()
     g = np.empty(len(index))
     for pos, (i, j, f) in enumerate(index.triples):
-        g[pos] = w[f] * float(snapshot.differentials[pos]) * channel.rate((i, j))
+        g[pos] = w[f] * float(snapshot.differentials[pos]) * rates[link_pos[(i, j)]]
     return g
 
 
@@ -275,9 +244,9 @@ def solve_allocation(
     """Time fractions per element for one review period.
 
     Runs cycles * K incremental gradient steps: bump one element, then
-    project onto the (at most two) violated endpoint-node constraints. The
-    step does not enforce s >= 0 (see the module docstring), so the raw
-    iterate can go negative.
+    project onto the (at most two) violated endpoint-node constraints, with
+    the kernel ``project_pair`` uses. The step does not enforce s >= 0
+    (see the module docstring), so the raw iterate can go negative.
     Finalization clamps negatives, rescales any node whose incident sum
     exceeds 1, and zeroes every element whose differential backlog was zero
     at the review instant. All-zero backlog short-circuits to the zero
@@ -305,6 +274,7 @@ def solve_allocation(
     glist = g.tolist()
     alpha = cfg.alpha
     tol = cfg.tolerance
+    pair = _pair_multipliers
 
     def sub(mlist, lam):
         for m in mlist:
@@ -326,25 +296,11 @@ def solve_allocation(
             ea = consum[a] - 1.0
             eb = consum[b] - 1.0
             if ea > tol or eb > tol:
-                if esame[k]:
-                    if ea > tol:
-                        sub(members[a], ea / sizes[a])
-                elif eb <= tol:
-                    sub(members[a], ea / sizes[a])
-                elif ea <= tol:
-                    sub(members[b], eb / sizes[b])
-                else:
-                    na, nb, ov = sizes[a], sizes[b], eover[k]
-                    det = na * nb - ov * ov
-                    la = (ea * nb - eb * ov) / det
-                    lb = (eb * na - ea * ov) / det
-                    if la >= 0.0 and lb >= 0.0:
-                        sub(members[a], la)
-                        sub(members[b], lb)
-                    elif la < 0.0:
-                        sub(members[b], eb / nb)
-                    else:
-                        sub(members[a], ea / na)
+                la, lb = pair(ea, eb, sizes[a], sizes[b], eover[k], esame[k], tol)
+                if la:
+                    sub(members[a], la)
+                if lb:
+                    sub(members[b], lb)
         if trace is not None:
             trace.append((step + 1, sum(glist[m] * s[m] for m in range(K))))
 

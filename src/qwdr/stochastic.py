@@ -45,22 +45,22 @@ def achievable_rate(gain, sigma2: float = 1.0):
 
 @dataclass
 class ChannelState:
-    """Per-link gains and rates, held fixed for one review period."""
+    """Per-link gains and rates, held fixed for one review period.
+
+    ``positions`` maps each link to its offset in ``links``, ``gains`` and
+    ``rates``; every state drawn from one ``ChannelModel`` shares its map.
+    """
 
     links: tuple[Link, ...]
     gains: np.ndarray
     rates: np.ndarray
-    _pos: dict[Link, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._pos:
-            self._pos = {link: p for p, link in enumerate(self.links)}
+    positions: dict[Link, int] = field(repr=False)
 
     def gain(self, link: Link) -> float:
-        return float(self.gains[self._pos[link]])
+        return float(self.gains[self.positions[link]])
 
     def rate(self, link: Link) -> float:
-        return float(self.rates[self._pos[link]])
+        return float(self.rates[self.positions[link]])
 
 
 class ChannelModel:
@@ -95,6 +95,7 @@ class ChannelModel:
         if truncation_factor <= 0:
             raise ValueError("truncation factor must be > 0")
         self.links = tuple(links)
+        self.positions = {link: p for p, link in enumerate(self.links)}
         missing = [l for l in self.links if l not in mean_gain]
         if missing and fixed_rates is None:
             raise ValueError(f"no mean gain for links {missing}")
@@ -133,15 +134,15 @@ class ChannelModel:
         if self.gain_model == "fixed":
             gains = self.mean_gain.copy()
             if self._fixed_rates is not None:
-                return ChannelState(self.links, gains, self._fixed_rates.copy())
-            return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2))
+                return ChannelState(self.links, gains, self._fixed_rates.copy(), self.positions)
+            return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2), self.positions)
         rng = _rng_at(self._key, review_index)
         if self.gain_model == "power":
             gains = rng.exponential(self.mean_gain)
         else:
             gains = rng.rayleigh(scale=self.mean_gain / np.sqrt(np.pi / 2.0))
         gains = np.minimum(gains, self.gain_cap)
-        return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2))
+        return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2), self.positions)
 
 
 class ArrivalProcess:

@@ -3,6 +3,18 @@ import pytest
 
 from qwdr import ChannelModel, FlowSpec, NetworkModel, QueueMatrix
 
+# (section, field, rejected value) of a scenario document; loading must name
+# "section.field" in its ConfigError
+BAD_SOLVER_AND_WEIGHT_FIELDS = [
+    ("solver", "alpha", 0.0),
+    ("solver", "alpha", -1e-4),
+    ("solver", "cycles", 0),
+    ("solver", "tolerance", -1e-9),
+    ("solver", "n_rep", 0),
+    ("weights", "a1", -0.1),
+    ("weights", "a2", 0.0),
+]
+
 
 def tandem_model(rate=1.5, target=None):
     """1 -> 2 -> 3, one flow to node 3."""

@@ -283,7 +283,7 @@ def test_criterion_2_projection_exactness():
             continue
         ca, cb = HalfspaceConstraint(members=a), HalfspaceConstraint(members=b)
         s = rng.uniform(-0.5, 1.5, size=n)
-        out = project_pair(s, ca, cb, n_rep=10)
+        out = project_pair(s, ca, cb)
         exact = qp_project_exact(s, [ca, cb])
         worst = max(worst, float(np.linalg.norm(out - exact)))
         checked += 1

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qwdr.cli import main
+from conftest import BAD_SOLVER_AND_WEIGHT_FIELDS
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -66,6 +67,28 @@ class TestRun:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "run.queue_sample_interval" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("slots", ["0", "-3"])
+    def test_nonpositive_slots_exit_code(self, tmp_path, capsys, slots):
+        path = write_scenario(tmp_path, tandem_doc())
+        assert main(["run", path, "--slots", slots, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "run.horizon_slots" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", BAD_SOLVER_AND_WEIGHT_FIELDS)
+    def test_bad_solver_and_weight_fields_exit_code(self, tmp_path, capsys, section, key, value):
+        doc = tandem_doc()
+        doc[section] = {key: value}
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{section}.{key}") == 2
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -2,11 +2,10 @@ import pytest
 
 from qwdr import (
     FlowSpec,
+    LinkFlowIndex,
     NetworkModel,
     QueueMatrix,
     build_interference_sets,
-    build_link_flow_index,
-    differential_backlog,
 )
 
 
@@ -39,32 +38,29 @@ class TestInterferenceSets:
 class TestLinkFlowIndex:
     def test_two_hop_route_enumeration(self):
         flows = [FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5)]
-        index = build_link_flow_index(flows)
+        index = LinkFlowIndex(flows)
         assert len(index) == 2
-        assert index.index(1, 2, 3) == 1
-        assert index.index(2, 3, 3) == 2
-        assert index.triple(1) == (1, 2, 3)
-        assert index.triple(2) == (2, 3, 3)
+        assert index.positions[(1, 2, 3)] == 0
+        assert index.positions[(2, 3, 3)] == 1
+        assert index.triples[0] == (1, 2, 3)
+        assert index.triples[1] == (2, 3, 3)
 
     def test_empty_flow_list(self):
-        assert len(build_link_flow_index([])) == 0
+        assert len(LinkFlowIndex([])) == 0
 
     def test_lexicographic_ordering_across_flows(self):
         flows = [
             FlowSpec(flow_id=4, source=2, route=(2, 3, 4), arrival_rate=0.1),
             FlowSpec(flow_id=5, source=1, route=(1, 3, 5), arrival_rate=0.1),
         ]
-        index = build_link_flow_index(flows)
+        index = LinkFlowIndex(flows)
         assert index.triples == ((1, 3, 5), (2, 3, 4), (3, 4, 4), (3, 5, 5))
 
     def test_unknown_triple_raises(self):
-        index = build_link_flow_index(
-            [FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5)]
-        )
+        index = LinkFlowIndex([FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5)])
+        assert (3, 1, 3) not in index
         with pytest.raises(KeyError):
-            index.index(3, 1, 3)
-        with pytest.raises(KeyError):
-            index.triple(5)
+            index.positions[(3, 1, 3)]
 
 
 class TestFlowSpec:
@@ -108,17 +104,13 @@ class TestQueueMatrix:
         queues = QueueMatrix(model)
         queues.add_arrivals(1, 3, 5, slot=0)
         queues.add_arrivals(2, 3, 2, slot=0)
-        assert differential_backlog(queues, 1, 2, 3) == 3
+        # positions: 0 is (1, 2, 3), 1 is (2, 3, 3)
+        assert queues.snapshot().differentials[0] == 3
         # clamp at zero when downstream is longer
         queues.add_arrivals(2, 3, 6, slot=1)
-        assert differential_backlog(queues, 1, 2, 3) == 0
+        assert queues.snapshot().differentials[0] == 0
         # destination queue counts as empty
-        assert differential_backlog(queues, 2, 3, 3) == 8
-
-    def test_differential_backlog_unknown_triple(self):
-        queues = QueueMatrix(three_node_model())
-        with pytest.raises(KeyError):
-            differential_backlog(queues, 3, 2, 3)
+        assert queues.snapshot().differentials[1] == 8
 
     def test_fifo_order_and_delay_recording(self):
         model = three_node_model()

@@ -147,6 +147,6 @@ class TestInvariantsFire:
         model = two_flow_chain()
         queues = queues_with(model, {(1, 3): 2, (1, 4): 2})
         index = model.link_flow_index
-        same_link = [index.index(1, 2, 3) - 1, index.index(1, 2, 4) - 1]
+        same_link = [index.positions[(1, 2, 3)], index.positions[(1, 2, 4)]]
         with pytest.raises(SimulationInvariantError, match="interference"):
             step_slot(queues, same_link, [1] * len(index), [], slot=0)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, scenario_from_dict
+from conftest import BAD_SOLVER_AND_WEIGHT_FIELDS
 
 
 def minimal_doc():
@@ -52,6 +53,21 @@ class TestLoadScenario:
             ScenarioConfig(cfg.name, cfg.coordinates, cfg.links, cfg.flows, queue_sample_interval=-1)
         doc["run"] = {"queue_sample_interval": 0}  # zero turns sampling off
         assert scenario_from_dict(doc).queue_sample_interval == 0
+
+    @pytest.mark.parametrize("section, key, value", BAD_SOLVER_AND_WEIGHT_FIELDS)
+    def test_bad_solver_and_weight_fields_rejected(self, section, key, value):
+        doc = minimal_doc()
+        doc[section] = {key: value}
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            scenario_from_dict(doc)
+
+    def test_solver_and_weight_limits_accepted(self):
+        doc = minimal_doc()
+        doc["solver"] = {"alpha": 1e-12, "cycles": 1, "tolerance": 0.0, "n_rep": 1}
+        doc["weights"] = {"a1": 0.0, "a2": 1e-12}
+        cfg = scenario_from_dict(doc)
+        assert cfg.build_solver_config().cycles == 1
+        assert cfg.build_weight_config().a1 == 0.0
 
     def test_missing_links_rejected(self):
         doc = minimal_doc()

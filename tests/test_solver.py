@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwdr import (
+    ChannelModel,
     FlowSpec,
     HalfspaceConstraint,
     LinearProgramInstance,
@@ -12,7 +15,6 @@ from qwdr import (
     WeightConfig,
     allocation_objective,
     alternating_projection_pair,
-    gradient,
     gradient_vector,
     lp_solve_exact,
     node_constraints,
@@ -59,7 +61,7 @@ class TestGradient:
         queues = queues_with(model, {(2, 3): 5})  # upstream empty
         snap = queues.snapshot()
         channel = fixed_channel(model, 2.0).draw(0)
-        assert gradient(1, snap, channel, model, WeightConfig()) == 0.0
+        assert gradient_vector(snap, channel, model, WeightConfig())[0] == 0.0
 
     def test_product_form(self):
         # w = 1.1 at the threshold midpoint, Qij = 10, mu = 2 -> 22
@@ -68,14 +70,14 @@ class TestGradient:
         snap = queues.snapshot()
         channel = fixed_channel(model, 2.0).draw(0)
         cfg = WeightConfig(a1=0.2, a2=2.0, thresholds={3: 10.0})
-        assert gradient(1, snap, channel, model, cfg) == pytest.approx(22.0, abs=1e-9)
+        assert gradient_vector(snap, channel, model, cfg)[0] == pytest.approx(22.0, abs=1e-9)
 
     def test_dead_channel(self):
         model = tandem_model()
         queues = queues_with(model, {(1, 3): 10})
         snap = queues.snapshot()
         channel = fixed_channel(model, 0.0).draw(0)
-        assert gradient(1, snap, channel, model, WeightConfig()) == 0.0
+        assert gradient_vector(snap, channel, model, WeightConfig())[0] == 0.0
 
 
 class TestProjectOntoHalfspace:
@@ -175,6 +177,22 @@ class TestProjectPair:
             iterated = alternating_projection_pair(s, ca, cb, n_rep=400, tol=0.0)
             assert np.linalg.norm(closed - iterated) < 1e-5
 
+    @pytest.mark.parametrize("tighter_first", [True, False])
+    def test_identical_supports_different_bounds(self, tighter_first):
+        # only the tighter of two constraints over the same elements can bind
+        loose = HalfspaceConstraint(members=(0, 1), bound=1.0)
+        tight = HalfspaceConstraint(members=(1, 0), bound=0.6)
+        pair = (tight, loose) if tighter_first else (loose, tight)
+        for s, expected in (
+            ([0.5, 0.4], [0.35, 0.25]),  # only the tight one violated
+            ([0.9, 0.7], [0.4, 0.2]),  # both violated
+            ([0.3, 0.2], [0.3, 0.2]),  # neither
+        ):
+            s = np.array(s)
+            out = project_pair(s, *pair)
+            assert out == pytest.approx(expected, abs=1e-12)
+            assert np.linalg.norm(out - qp_project_exact(s, list(pair))) < 1e-9
+
 
 def solve_fork(q2, q3, mu=1.0, cycles=15, alpha=1e-4):
     """Fork instance with gradient coefficients (q2 * mu, q3 * mu)."""
@@ -272,6 +290,81 @@ class TestSolveAllocation:
         steps = [s for s, _ in trace]
         assert steps == sorted(steps)
         assert all(obj >= 0 for _, obj in trace)
+
+
+def _small_topology(kind, size):
+    """A star, vee or chain with ``size`` spokes, arms or hops."""
+    if kind == "star":
+        # single-hop flows out of hub 0: every element shares the hub
+        links = [(0, n) for n in range(1, size + 1)]
+        flows = [FlowSpec(flow_id=n, source=0, route=(0, n), arrival_rate=1.0) for n in range(1, size + 1)]
+    elif kind == "vee":
+        # two-hop flows crossing at node 0: every element touches node 0
+        flows = [
+            FlowSpec(flow_id=2 * m + 2, source=2 * m + 1, route=(2 * m + 1, 0, 2 * m + 2), arrival_rate=1.0)
+            for m in range(size)
+        ]
+        links = [hop for fl in flows for hop in fl.hops]
+    else:
+        # a long flow over the chain 0..size and a short one to its middle
+        flows = [FlowSpec(flow_id=size, source=0, route=tuple(range(size + 1)), arrival_rate=1.0)]
+        if size >= 2:
+            mid = (size + 1) // 2
+            flows.append(FlowSpec(flow_id=mid, source=0, route=tuple(range(mid + 1)), arrival_rate=1.0))
+        links = [(n, n + 1) for n in range(size)]
+    nodes = {n for link in links for n in link}
+    return NetworkModel(nodes=nodes, links=links, flows=flows)
+
+
+@st.composite
+def solver_instances(draw):
+    kind = draw(st.sampled_from(["star", "vee", "chain"]))
+    model = _small_topology(kind, draw(st.integers(1, 4)))
+    rates = {link: draw(st.floats(0.0, 4.0)) for link in model.links}
+    queues = queues_with(
+        model,
+        {(node, fl.flow_id): draw(st.integers(0, 20)) for fl in model.flows for node in fl.route[:-1]},
+    )
+    thresholds = {fl.flow_id: draw(st.floats(1.0, 40.0)) for fl in model.flows if draw(st.booleans())}
+    wcfg = WeightConfig(a1=draw(st.sampled_from([0.0, 0.2])), a2=2.0, thresholds=thresholds)
+    cfg = SolverConfig(alpha=draw(st.floats(1e-3, 0.05)), cycles=draw(st.integers(1, 25)))
+    channel = ChannelModel(links=model.links, mean_gain={}, fixed_rates=rates).draw(0)
+    return model, queues.snapshot(), channel, cfg, wcfg
+
+
+class TestSolverStepIsProjectPair:
+    """``solve_allocation``'s step is a gradient bump followed by ``project_pair``."""
+
+    @staticmethod
+    def reference(model, snap, channel, cfg, wcfg):
+        g = gradient_vector(snap, channel, model, wcfg)
+        K = len(g)
+        if not np.any(g > 0):
+            return np.zeros(K)
+        cons = node_constraints(model)
+        s = np.zeros(K)
+        for step in range(cfg.cycles * K):
+            k = step % K
+            if g[k] > 0:
+                i, j, _ = model.link_flow_index.triples[k]
+                s[k] += cfg.alpha * g[k]
+                s = project_pair(s, cons[i], cons[j])
+        s[s < 0] = 0.0
+        for node in sorted(cons):  # the solver's sequential per-node rescale
+            members = list(cons[node].members)
+            total = cons[node].value(s)
+            if total > 1.0:
+                s[members] /= total
+        s[snap.differentials == 0] = 0.0
+        return s
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=solver_instances())
+    def test_matches_project_pair_loop(self, instance):
+        model, snap, channel, cfg, wcfg = instance
+        alloc = solve_allocation(snap, channel, model, cfg, wcfg)
+        expected = self.reference(model, snap, channel, cfg, wcfg)
+        assert np.max(np.abs(alloc - expected), initial=0.0) <= 1e-9
 
 
 class TestSuboptimalityBound:
