@@ -9,6 +9,7 @@ too large for the exact references.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -19,17 +20,14 @@ from .simulate import run as run_simulation
 
 
 def _apply_overrides(cfg, args):
-    if getattr(args, "slots", None) is not None:
-        if args.slots < 1:
-            raise ConfigError(f"run.horizon_slots: must be >= 1 (--slots {args.slots})")
-        cfg.horizon_slots = args.slots
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.channel_seed = args.seed
-        cfg.arrival_seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        cfg.mode = args.mode
-    return cfg
+    overrides = {}
+    if args.slots is not None:
+        overrides["horizon_slots"] = args.slots
+    if args.seed is not None:
+        overrides.update(seed=args.seed, channel_seed=args.seed, arrival_seed=args.seed)
+    if args.mode is not None:
+        overrides["mode"] = args.mode
+    return dataclasses.replace(cfg, **overrides)  # checked like a loaded scenario
 
 
 def _cmd_run(args) -> int:

@@ -25,6 +25,9 @@ import numpy as np
 Link = tuple[int, int]
 Triple = tuple[int, int, int]  # (i, j, f): link (i, j) carrying flow f
 
+#: largest mean numpy's Poisson sampler accepts (its ``POISSON_LAM_MAX``)
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -53,9 +56,11 @@ class FlowSpec:
             raise ValueError(f"flow {self.flow_id}: route must end at the destination node")
         if len(set(self.route)) != len(self.route):
             raise ValueError(f"flow {self.flow_id}: route must be a simple path")
-        if self.arrival_rate < 0:
-            raise ValueError(f"flow {self.flow_id}: arrival rate must be >= 0")
-        if self.delay_target is not None and self.delay_target <= 0:
+        if not 0 <= self.arrival_rate <= POISSON_LAM_MAX:
+            raise ValueError(
+                f"flow {self.flow_id}: arrival rate must be >= 0 and <= {POISSON_LAM_MAX:.6g}"
+            )
+        if self.delay_target is not None and not self.delay_target > 0:
             raise ValueError(f"flow {self.flow_id}: delay target must be > 0")
 
     @property

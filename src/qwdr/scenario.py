@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
-from .network import FlowSpec, Link, NetworkModel
+from .network import POISSON_LAM_MAX, FlowSpec, Link, NetworkModel
 from .solver import SolverConfig, WeightConfig
 from .stochastic import ARRIVAL_STREAM, CHANNEL_STREAM, ArrivalProcess, ChannelModel
 
@@ -22,82 +22,80 @@ class ConfigError(ValueError):
     """Scenario rejected; the message names the offending field."""
 
 
-_GAIN_MODELS = ("power", "amplitude", "fixed")
-_MODES = ("qwdr", "unweighted")
+def _setting(default, section, low=None, strict=False, choices=None, fallback=None):
+    """A scalar setting, read from and echoed to ``section`` of a scenario file.
 
-_DEFAULTS = {
-    "sigma2": 1.0,
-    "gain_model": "power",
-    "gain_scale": 1.0,
-    "truncation_factor": 10.0,
-    "alpha": 1e-4,
-    "cycles": 15,
-    "n_rep": 10,
-    "tolerance": 1e-9,
-    "a1": 0.2,
-    "a2": 2.0,
-    "k0": 0.01,
-    "horizon_slots": 100_000,
-    "seed": 1,
-    "mode": "qwdr",
-    "queue_sample_interval": 100,
-}
+    ``low`` is its lower bound (excluded when ``strict``); ``choices`` lists
+    the allowed values of a string setting; a ``None`` value takes the value
+    of the setting named by ``fallback``.
+    """
+    meta = {"section": section, "low": low, "strict": strict, "choices": choices, "fallback": fallback}
+    return field(default=default, metadata=meta)
+
+
+#: annotation of a setting -> the type its value must have
+_KINDS = {"float": float, "int": int, "Optional[int]": int, "str": str, "bool": bool}
 
 
 @dataclass
 class ScenarioConfig:
-    """Fully resolved scenario; every field has a concrete value."""
+    """Fully resolved scenario; every field has a concrete value.
+
+    Construction checks every setting against its declaration and builds the
+    model, channel, arrivals, solver and weight configs once, so a config
+    that exists is one that ``run`` can build.
+    """
 
     name: str
     coordinates: Optional[dict[int, tuple[float, float]]]
     links: list[Link]
     flows: list[FlowSpec]
-    sigma2: float = 1.0
-    gain_model: str = "power"
-    gain_scale: float = 1.0
-    truncation_factor: float = 10.0
+    sigma2: float = _setting(1.0, "channel", 0, strict=True)
+    gain_model: str = _setting("power", "channel", choices=("power", "amplitude", "fixed"))
+    gain_scale: float = _setting(1.0, "channel", 0)
+    truncation_factor: float = _setting(10.0, "channel", 0, strict=True)
     fixed_rates: Optional[dict[Link, float]] = None
-    alpha: float = 1e-4
-    cycles: int = 15
-    n_rep: int = 10  # accepted and echoed in the output; nothing reads it
-    tolerance: float = 1e-9
-    a1: float = 0.2
-    a2: float = 2.0
-    k0: float = 0.01
-    horizon_slots: int = 100_000
-    seed: int = 1
-    channel_seed: Optional[int] = None
-    arrival_seed: Optional[int] = None
-    mode: str = "qwdr"
-    queue_sample_interval: int = 100
-    schedule_trace: bool = False
-    solver_trace: bool = False
+    alpha: float = _setting(1e-4, "solver", 0, strict=True)
+    cycles: int = _setting(15, "solver", 1)
+    n_rep: int = _setting(10, "solver", 1)  # accepted and echoed in the output; nothing reads it
+    tolerance: float = _setting(1e-9, "solver", 0)
+    a1: float = _setting(0.2, "weights", 0)
+    a2: float = _setting(2.0, "weights", 0, strict=True)
+    k0: float = _setting(0.01, "review", 0)
+    horizon_slots: int = _setting(100_000, "run", 1)
+    seed: int = _setting(1, "run", 0)
+    channel_seed: Optional[int] = _setting(None, "run", 0, fallback="seed")
+    arrival_seed: Optional[int] = _setting(None, "run", 0, fallback="seed")
+    mode: str = _setting("qwdr", "run", choices=("qwdr", "unweighted"))
+    queue_sample_interval: int = _setting(100, "run", 0)  # 0 turns sampling off
+    schedule_trace: bool = _setting(False, "run")
+    solver_trace: bool = _setting(False, "run")
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ConfigError(f"run.mode: expected one of {_MODES}, got {self.mode!r}")
-        if self.gain_model not in _GAIN_MODELS:
-            raise ConfigError(f"channel.gain_model: expected one of {_GAIN_MODELS}")
-        if self.queue_sample_interval < 0:
-            raise ConfigError("run.queue_sample_interval: must be >= 0 (0 turns sampling off)")
-        if self.alpha <= 0:
-            raise ConfigError("solver.alpha: must be > 0")
-        if self.cycles < 1:
-            raise ConfigError("solver.cycles: must be >= 1")
-        if self.tolerance < 0:
-            raise ConfigError("solver.tolerance: must be >= 0")
-        if self.n_rep < 1:
-            raise ConfigError("solver.n_rep: must be >= 1")
-        if self.a1 < 0:
-            raise ConfigError("weights.a1: must be >= 0")
-        if self.a2 <= 0:
-            raise ConfigError("weights.a2: must be > 0")
-        if self.channel_seed is None:
-            self.channel_seed = self.seed
-        if self.arrival_seed is None:
-            self.arrival_seed = self.seed
-        self.build_model()  # surface structural errors at load time
+        for f in fields(self):
+            meta = f.metadata
+            if not meta:
+                continue
+            where = f"{meta['section']}.{f.name}"
+            value = getattr(self, f.name)
+            if value is None and meta["fallback"]:
+                value = getattr(self, meta["fallback"])
+            value = _check(value, _KINDS[f.type], where)
+            low = meta["low"]
+            if low is not None and (value <= low if meta["strict"] else value < low):
+                raise ConfigError(f"{where}: must be {'>' if meta['strict'] else '>='} {low}, got {value}")
+            if meta["choices"] and value not in meta["choices"]:
+                raise ConfigError(f"{where}: expected one of {meta['choices']}, got {value!r}")
+            setattr(self, f.name, value)
+        try:
+            self.build_model()
+            self.build_channel()
+            self.build_arrivals()
+            self.build_solver_config()
+            self.build_weight_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     # -- builders -----------------------------------------------------------
 
@@ -108,26 +106,19 @@ class ScenarioConfig:
             nodes.add(j)
         if self.coordinates:
             nodes.update(self.coordinates)
-        try:
-            return NetworkModel(nodes, self.links, self.flows)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return NetworkModel(nodes, self.links, self.flows)
 
     def link_mean_gains(self) -> dict[Link, float]:
-        if self.fixed_rates is not None:
-            return {l: math.expm1(r) * self.sigma2 for l, r in self.fixed_rates.items()}
-        if not self.coordinates:
-            raise ConfigError("channel: node coordinates required unless fixed_rates is given")
+        """Mean power gain gain_scale / d^2 of each link whose nodes have coordinates."""
+        coords = self.coordinates or {}
         gains = {}
         for (i, j) in self.links:
-            if i not in self.coordinates or j not in self.coordinates:
-                raise ConfigError(f"nodes: missing coordinates for link ({i},{j})")
-            xi, yi = self.coordinates[i]
-            xj, yj = self.coordinates[j]
-            d2 = (xi - xj) ** 2 + (yi - yj) ** 2
-            if d2 <= 0:
-                raise ConfigError(f"nodes: nodes {i} and {j} share coordinates")
-            gains[(i, j)] = self.gain_scale / d2
+            if i in coords and j in coords:
+                (xi, yi), (xj, yj) = coords[i], coords[j]
+                d2 = (xi - xj) ** 2 + (yi - yj) ** 2
+                if d2 <= 0:
+                    raise ConfigError(f"nodes: nodes {i} and {j} share coordinates")
+                gains[(i, j)] = self.gain_scale / d2
         return gains
 
     def build_channel(self) -> ChannelModel:
@@ -136,7 +127,7 @@ class ScenarioConfig:
             mean_gain=self.link_mean_gains(),
             sigma2=self.sigma2,
             truncation_factor=self.truncation_factor,
-            gain_model=self.gain_model if self.fixed_rates is None else "fixed",
+            gain_model=self.gain_model,
             seed=self.channel_seed,
             stream=CHANNEL_STREAM,
             fixed_rates=self.fixed_rates,
@@ -172,7 +163,7 @@ class ScenarioConfig:
         fixed = None
         if self.fixed_rates is not None:
             fixed = {f"{i}-{j}": r for (i, j), r in sorted(self.fixed_rates.items())}
-        return {
+        doc = {
             "name": self.name,
             "nodes": {
                 str(n): list(xy) for n, xy in sorted(self.coordinates.items())
@@ -181,33 +172,13 @@ class ScenarioConfig:
             else None,
             "links": [list(l) for l in self.links],
             "flows": flows,
-            "channel": {
-                "sigma2": self.sigma2,
-                "gain_model": self.gain_model,
-                "gain_scale": self.gain_scale,
-                "truncation_factor": self.truncation_factor,
-                "fixed_rates": fixed,
-            },
-            "solver": {
-                "alpha": self.alpha,
-                "cycles": self.cycles,
-                "n_rep": self.n_rep,
-                "tolerance": self.tolerance,
-            },
-            "weights": {"a1": self.a1, "a2": self.a2},
-            "review": {"k0": self.k0},
-            "run": {
-                "horizon_slots": self.horizon_slots,
-                "seed": self.seed,
-                "channel_seed": self.channel_seed,
-                "arrival_seed": self.arrival_seed,
-                "mode": self.mode,
-                "queue_sample_interval": self.queue_sample_interval,
-                "schedule_trace": self.schedule_trace,
-                "solver_trace": self.solver_trace,
-            },
+            "channel": {"fixed_rates": fixed},
             "metadata": self.metadata,
         }
+        for f in fields(self):
+            if f.metadata:
+                doc.setdefault(f.metadata["section"], {})[f.name] = getattr(self, f.name)
+        return doc
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -215,17 +186,32 @@ class ScenarioConfig:
             fh.write("\n")
 
 
+def _number(value, where) -> float:
+    """``value`` as a finite float: NaN, +-Infinity and overflowing literals such as 1e400 fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be a finite number")
+    return number
+
+
+def _check(value, kind, where):
+    """``value`` as a ``kind``; a float must be finite and an int is not a bool."""
+    if kind is float:
+        return _number(value, where)
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{where}: expected {kind.__name__}")
+    return value
+
+
 def _require(mapping, key, kind, where):
     if key not in mapping or mapping[key] is None:
         raise ConfigError(f"{where}.{key}: required field is missing")
-    value = mapping[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{where}.{key}: expected {kind.__name__}")
-    return value
+    return _check(mapping[key], kind, f"{where}.{key}")
 
 
 def _optional(mapping, key, kind, default, where):
@@ -234,13 +220,29 @@ def _optional(mapping, key, kind, default, where):
     return _require(mapping, key, kind, where)
 
 
+def _section(doc, name) -> dict:
+    obj = doc.get(name)
+    if obj is None:
+        return {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name}: expected an object")
+    return obj
+
+
 def _parse_link(obj, where) -> Link:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ConfigError(f"{where}: a link is a pair [i, j]")
     i, j = obj
-    if not isinstance(i, int) or not isinstance(j, int):
+    if type(i) is not int or type(j) is not int:
         raise ConfigError(f"{where}: link endpoints must be integer node ids")
     return (i, j)
+
+
+def _fixed_rate(value, where) -> float:
+    rate = _number(value, where)
+    if rate < 0:
+        raise ConfigError(f"{where}: must be >= 0")
+    return rate
 
 
 def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioConfig:
@@ -263,7 +265,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
                 continue
             if not isinstance(xy, (list, tuple)) or len(xy) != 2:
                 raise ConfigError(f"nodes.{key}: coordinates must be [x, y]")
-            coordinates[node] = (float(xy[0]), float(xy[1]))
+            coordinates[node] = (_number(xy[0], f"nodes.{key}"), _number(xy[1], f"nodes.{key}"))
         if not coordinates:
             coordinates = None
 
@@ -271,7 +273,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
     if not isinstance(links_doc, list) or not links_doc:
         raise ConfigError("links: at least one [i, j] pair is required")
     links = [_parse_link(l, f"links[{n}]") for n, l in enumerate(links_doc)]
-    if doc.get("bidirectional"):
+    if _optional(doc, "bidirectional", bool, False, "scenario"):
         links = sorted(set(links) | {(j, i) for (i, j) in links})
 
     flows_doc = doc.get("flows")
@@ -285,9 +287,11 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
         fid = _require(fd, "id", int, where)
         source = _require(fd, "source", int, where)
         route = fd.get("route")
-        if not isinstance(route, list) or not all(isinstance(x, int) for x in route):
+        if not isinstance(route, list) or not all(type(x) is int for x in route):
             raise ConfigError(f"{where}.route: expected a list of node ids")
         rate = _require(fd, "rate", float, where)
+        if rate > POISSON_LAM_MAX:
+            raise ConfigError(f"{where}.rate: must be <= {POISSON_LAM_MAX:.6g}, numpy's Poisson limit")
         target = _optional(fd, "delay_target", float, None, where)
         enabled = _optional(fd, "weight_enabled", bool, True, where)
         try:
@@ -304,81 +308,41 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
-    chan = doc.get("channel", {}) or {}
-    if not isinstance(chan, dict):
-        raise ConfigError("channel: expected an object")
     fixed_rates = None
-    fr = chan.get("fixed_rates")
-    if fr is not None:
+    fr = _section(doc, "channel").get("fixed_rates")
+    if isinstance(fr, dict):
         fixed_rates = {}
-        if isinstance(fr, (int, float)) and not isinstance(fr, bool):
-            fixed_rates = {l: float(fr) for l in links}
-        elif isinstance(fr, dict):
-            for key, val in fr.items():
-                try:
-                    i, j = (int(part) for part in str(key).split("-"))
-                except ValueError:
-                    raise ConfigError(f'channel.fixed_rates: keys look like "i-j", got {key!r}')
-                if not isinstance(val, (int, float)) or isinstance(val, bool):
-                    raise ConfigError(f"channel.fixed_rates.{key}: expected a number")
-                fixed_rates[(i, j)] = float(val)
-            missing = [l for l in links if l not in fixed_rates]
-            if missing:
-                raise ConfigError(f"channel.fixed_rates: missing rates for links {missing}")
-        else:
-            raise ConfigError("channel.fixed_rates: expected a number or an object")
+        for key, val in fr.items():
+            try:
+                i, j = (int(part) for part in str(key).split("-"))
+            except ValueError:
+                raise ConfigError(f'channel.fixed_rates: keys look like "i-j", got {key!r}')
+            fixed_rates[(i, j)] = _fixed_rate(val, f"channel.fixed_rates.{key}")
+        missing = [l for l in links if l not in fixed_rates]
+        if missing:
+            raise ConfigError(f"channel.fixed_rates: missing rates for links {missing}")
+    elif fr is not None:
+        rate = _fixed_rate(fr, "channel.fixed_rates")
+        fixed_rates = {l: rate for l in links}
 
-    solver = doc.get("solver", {}) or {}
-    weights = doc.get("weights", {}) or {}
-    review = doc.get("review", {}) or {}
-    run_doc = doc.get("run", {}) or {}
-    for section, obj in (("solver", solver), ("weights", weights), ("review", review), ("run", run_doc)):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{section}: expected an object")
-
-    try:
-        cfg = ScenarioConfig(
-            name=name,
-            coordinates=coordinates,
-            links=links,
-            flows=flows,
-            sigma2=_optional(chan, "sigma2", float, _DEFAULTS["sigma2"], "channel"),
-            gain_model=_optional(chan, "gain_model", str, _DEFAULTS["gain_model"], "channel"),
-            gain_scale=_optional(chan, "gain_scale", float, _DEFAULTS["gain_scale"], "channel"),
-            truncation_factor=_optional(
-                chan, "truncation_factor", float, _DEFAULTS["truncation_factor"], "channel"
-            ),
-            fixed_rates=fixed_rates,
-            alpha=_optional(solver, "alpha", float, _DEFAULTS["alpha"], "solver"),
-            cycles=_optional(solver, "cycles", int, _DEFAULTS["cycles"], "solver"),
-            n_rep=_optional(solver, "n_rep", int, _DEFAULTS["n_rep"], "solver"),
-            tolerance=_optional(solver, "tolerance", float, _DEFAULTS["tolerance"], "solver"),
-            a1=_optional(weights, "a1", float, _DEFAULTS["a1"], "weights"),
-            a2=_optional(weights, "a2", float, _DEFAULTS["a2"], "weights"),
-            k0=_optional(review, "k0", float, _DEFAULTS["k0"], "review"),
-            horizon_slots=_optional(run_doc, "horizon_slots", int, _DEFAULTS["horizon_slots"], "run"),
-            seed=_optional(run_doc, "seed", int, _DEFAULTS["seed"], "run"),
-            channel_seed=_optional(run_doc, "channel_seed", int, None, "run"),
-            arrival_seed=_optional(run_doc, "arrival_seed", int, None, "run"),
-            mode=_optional(run_doc, "mode", str, _DEFAULTS["mode"], "run"),
-            queue_sample_interval=_optional(
-                run_doc, "queue_sample_interval", int, _DEFAULTS["queue_sample_interval"], "run"
-            ),
-            schedule_trace=_optional(run_doc, "schedule_trace", bool, False, "run"),
-            solver_trace=_optional(run_doc, "solver_trace", bool, False, "run"),
-            metadata=doc.get("metadata", {}) or {},
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.sigma2 <= 0:
-        raise ConfigError("channel.sigma2: must be > 0")
-    if cfg.horizon_slots < 1:
-        raise ConfigError("run.horizon_slots: must be >= 1")
-    if cfg.k0 < 0:
-        raise ConfigError("review.k0: must be >= 0")
-    return cfg
+    settings = {}
+    for f in fields(ScenarioConfig):
+        if f.metadata:
+            value = _section(doc, f.metadata["section"]).get(f.name)
+            if value is not None:
+                settings[f.name] = value
+    metadata = doc.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise ConfigError("metadata: expected an object")
+    return ScenarioConfig(
+        name=name,
+        coordinates=coordinates,
+        links=links,
+        flows=flows,
+        fixed_rates=fixed_rates,
+        metadata=metadata or {},
+        **settings,
+    )
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -388,7 +352,7 @@ def load_scenario(path) -> ScenarioConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also digit strings past Python's int limit
         raise ConfigError(f"scenario file is not valid JSON: {exc}")
     name = str(path).rsplit("/", 1)[-1].removesuffix(".json")
     return scenario_from_dict(doc, name_fallback=name)

@@ -72,13 +72,13 @@ def create_schedule(
         raise ValueError(f"allocation must have {ws.size} entries")
     avals = alloc.tolist()
     for v in avals:
-        if v < -feasibility_tol:
-            raise ValueError("allocation has negative entries")
+        if not v >= -feasibility_tol:  # written so that NaN fails
+            raise ValueError("allocation has negative or NaN entries")
     for cid, mlist in enumerate(ws.members):
         total = 0.0
         for m in mlist:
             total += avals[m]
-        if total > 1.0 + feasibility_tol:
+        if not total <= 1.0 + feasibility_tol:
             raise ValueError(
                 f"allocation infeasible: node {ws.nodes[cid]} incident sum {total:.12f} > 1"
             )

@@ -98,7 +98,7 @@ class ChannelModel:
         self.positions = {link: p for p, link in enumerate(self.links)}
         missing = [l for l in self.links if l not in mean_gain]
         if missing and fixed_rates is None:
-            raise ValueError(f"no mean gain for links {missing}")
+            raise ValueError(f"no mean gain for links {missing}: give node coordinates or fixed rates")
         self.sigma2 = float(sigma2)
         self.truncation_factor = float(truncation_factor)
         self.gain_model = gain_model
@@ -108,15 +108,17 @@ class ChannelModel:
         self._fixed_rates = None
         if fixed_rates is not None:
             self._fixed_rates = np.array([float(fixed_rates[l]) for l in self.links])
-            if np.any(self._fixed_rates < 0):
+            if not np.all(self._fixed_rates >= 0):
                 raise ValueError("fixed rates must be >= 0")
             self.mean_gain = np.expm1(self._fixed_rates) * self.sigma2
             self.gain_model = "fixed"
         else:
             self.mean_gain = np.array([float(mean_gain[l]) for l in self.links])
-            if np.any(self.mean_gain < 0):
+            if not np.all(self.mean_gain >= 0):
                 raise ValueError("mean gains must be >= 0")
         self.gain_cap = self.mean_gain * self.truncation_factor
+        if not np.isfinite(self.max_rate):
+            raise ValueError("link rates are unbounded: truncated gain / sigma2 overflows")
 
     @property
     def max_rate(self) -> float:

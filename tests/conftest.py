@@ -1,19 +1,47 @@
+import math
+
 import numpy as np
 import pytest
 
 from qwdr import ChannelModel, FlowSpec, NetworkModel, QueueMatrix
 
-# (section, field, rejected value) of a scenario document; loading must name
-# "section.field" in its ConfigError
-BAD_SOLVER_AND_WEIGHT_FIELDS = [
+# (section, field, rejected value) of a scenario document, where the section
+# "flows[0]" is the first flow; loading must name "section.field" in its
+# ConfigError
+BAD_FIELDS = [
     ("solver", "alpha", 0.0),
     ("solver", "alpha", -1e-4),
+    ("solver", "alpha", math.nan),
     ("solver", "cycles", 0),
     ("solver", "tolerance", -1e-9),
+    ("solver", "tolerance", math.nan),
     ("solver", "n_rep", 0),
     ("weights", "a1", -0.1),
     ("weights", "a2", 0.0),
+    ("weights", "a2", math.inf),
+    ("channel", "sigma2", 0.0),
+    ("channel", "sigma2", math.nan),
+    ("channel", "truncation_factor", 0.0),
+    ("channel", "truncation_factor", -1.0),
+    ("channel", "gain_scale", -1.0),
+    ("channel", "fixed_rates", {"1-2": -1.0}),
+    ("channel", "fixed_rates", math.inf),
+    ("review", "k0", -0.01),
+    ("review", "k0", math.inf),
+    ("run", "horizon_slots", 0),
+    ("run", "seed", -1),
+    ("run", "channel_seed", -1),
+    ("run", "arrival_seed", -1),
+    ("flows[0]", "rate", math.nan),
+    ("flows[0]", "rate", 2**70),  # above numpy's Poisson limit
+    ("flows[0]", "delay_target", math.nan),
 ]
+
+
+def set_field(doc, section, key, value):
+    """Set ``section.key`` of a scenario document, keeping the section's other keys."""
+    target = doc["flows"][0] if section == "flows[0]" else doc.setdefault(section, {})
+    target[key] = value
 
 
 def tandem_model(rate=1.5, target=None):

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qwdr.cli import main
-from conftest import BAD_SOLVER_AND_WEIGHT_FIELDS
+from conftest import BAD_FIELDS, set_field
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -80,10 +80,18 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("section, key, value", BAD_SOLVER_AND_WEIGHT_FIELDS)
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, tandem_doc())
+        assert main(["run", path, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "run.seed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, value", BAD_FIELDS)
     def test_bad_solver_and_weight_fields_exit_code(self, tmp_path, capsys, section, key, value):
         doc = tandem_doc()
-        doc[section] = {key: value}
+        set_field(doc, section, key, value)
         path = write_scenario(tmp_path, doc)
         assert main(["validate", path]) == 2
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from qwdr import (
@@ -77,6 +79,13 @@ class TestFlowSpec:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=-1.0)
+
+    def test_rate_beyond_poisson_sampler_rejected(self):
+        for rate in (math.nan, 2.0**70):
+            with pytest.raises(ValueError, match="arrival rate"):
+                FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=rate)
+        with pytest.raises(ValueError, match="delay target"):
+            FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=1.0, delay_target=math.nan)
 
     def test_queue_threshold_is_rate_times_target(self):
         flow = FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=2.5, delay_target=40.0)

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, scenario_from_dict
-from conftest import BAD_SOLVER_AND_WEIGHT_FIELDS
+from conftest import BAD_FIELDS, set_field
 
 
 def minimal_doc():
@@ -54,11 +55,18 @@ class TestLoadScenario:
         doc["run"] = {"queue_sample_interval": 0}  # zero turns sampling off
         assert scenario_from_dict(doc).queue_sample_interval == 0
 
-    @pytest.mark.parametrize("section, key, value", BAD_SOLVER_AND_WEIGHT_FIELDS)
+    @pytest.mark.parametrize("section, key, value", BAD_FIELDS)
     def test_bad_solver_and_weight_fields_rejected(self, section, key, value):
         doc = minimal_doc()
-        doc[section] = {key: value}
-        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        set_field(doc, section, key, value)
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            scenario_from_dict(doc)
+
+    def test_unbounded_channel_rates_rejected(self):
+        # gain / sigma2 overflows to an infinite rate, which no slot budget can hold
+        doc = minimal_doc()
+        doc["channel"] = {"sigma2": 1e-320}
+        with pytest.raises(ConfigError, match="sigma2"):
             scenario_from_dict(doc)
 
     def test_solver_and_weight_limits_accepted(self):
@@ -88,9 +96,8 @@ class TestLoadScenario:
     def test_channel_requires_geometry_or_fixed_rates(self):
         doc = minimal_doc()
         doc.pop("nodes")
-        cfg = scenario_from_dict(doc)
         with pytest.raises(ConfigError, match="coordinates"):
-            cfg.build_channel()
+            scenario_from_dict(doc)
         doc["channel"] = {"fixed_rates": 2.0}
         cfg = scenario_from_dict(doc)
         cfg.build_channel()
@@ -115,6 +122,32 @@ class TestLoadScenario:
         cfg.save(path)
         loaded = load_scenario(path)
         assert loaded.to_json_dict() == cfg.to_json_dict()
+
+    def test_every_setting_read_and_echoed(self):
+        # every one of the 19 settings away from its default: a setting that
+        # the read or the echo loop drops comes back as its default
+        settings = {
+            "channel": {"sigma2": 0.5, "gain_model": "amplitude", "gain_scale": 3.0, "truncation_factor": 4.0},
+            "solver": {"alpha": 2e-4, "cycles": 7, "n_rep": 3, "tolerance": 1e-7},
+            "weights": {"a1": 0.5, "a2": 3.0},
+            "review": {"k0": 0.2},
+            "run": {
+                "horizon_slots": 1234,
+                "seed": 5,
+                "channel_seed": 6,
+                "arrival_seed": 7,
+                "mode": "unweighted",
+                "queue_sample_interval": 9,
+                "schedule_trace": True,
+                "solver_trace": True,
+            },
+        }
+        doc = {**minimal_doc(), **settings}
+        echo = scenario_from_dict(doc).to_json_dict()
+        assert echo["channel"] == {**settings["channel"], "fixed_rates": None}
+        for section in ("solver", "weights", "review", "run"):
+            assert echo[section] == settings[section]
+        assert scenario_from_dict(echo).to_json_dict() == echo
 
 
 class TestPaper15Preset:

@@ -90,6 +90,14 @@ class TestCreateSchedule:
         with pytest.raises(ValueError, match="negative"):
             create_schedule(np.array([-0.2, 0.1]), model, period=5)
 
+    def test_non_finite_allocation_rejected(self):
+        # a NaN quota never reaches its count, so it would be scheduled in every slot
+        model = tandem_model()
+        with pytest.raises(ValueError, match="NaN"):
+            create_schedule(np.array([math.nan, 0.1]), model, period=5)
+        with pytest.raises(ValueError, match="infeasible"):
+            create_schedule(np.array([math.inf, 0.0]), model, period=5)
+
 
 class TestStepSlot:
     def test_serve_then_arrivals(self):
