@@ -149,6 +149,24 @@ class _SolverWorkspace:
             self.elem_cb.append(cb)
             self.elem_overlap.append(len(sa & sb))
             self.elem_same.append(sa == sb)
+        # element -> offset of its flow in ``flow_ids`` (the model's flow order)
+        self.flow_ids = [fl.flow_id for fl in model.flows]
+        flow_offset = {f: n for n, f in enumerate(self.flow_ids)}
+        self.elem_flow = [flow_offset[f] for (i, j, f) in index.triples]
+        self._triples = index.triples
+        self._link_map: Optional[dict] = None
+        self._elem_link: list[int] = []
+
+    def link_offsets(self, positions: dict) -> list[int]:
+        """Each element's link offset under a channel's ``positions`` map.
+
+        Every state drawn from one ``ChannelModel`` shares its map, so the
+        list is built once per channel and kept while the same map comes in.
+        """
+        if positions is not self._link_map:
+            self._elem_link = [positions[(i, j)] for (i, j, f) in self._triples]
+            self._link_map = positions
+        return self._elem_link
 
 
 class NetworkModel:

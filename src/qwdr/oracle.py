@@ -6,7 +6,8 @@ and the capacity check enumerates interference-free activation sets. All
 three raise ``SizeError`` beyond their stated enumeration scale instead of
 silently approximating. The corrected alternating scheme for a pair of
 halfspaces is the iterative reference of the solver's closed-form pair
-projection.
+projection, and the stepwise allocation takes every step that
+``solve_allocation`` skips, recording the objective after each.
 """
 
 from __future__ import annotations
@@ -18,8 +19,17 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .network import NetworkModel
-from .solver import HalfspaceConstraint, project_onto_halfspace
+from .network import NetworkModel, QueueSnapshot
+from .solver import (
+    HalfspaceConstraint,
+    SolverConfig,
+    WeightConfig,
+    _finalize,
+    _pair_multipliers,
+    project_onto_halfspace,
+    weight,
+)
+from .stochastic import ChannelState
 
 
 class SizeError(ValueError):
@@ -172,6 +182,81 @@ def alternating_projection_pair(
         if moved <= tol:
             break
     return x
+
+
+def stepwise_allocation(
+    snapshot: QueueSnapshot,
+    channel: ChannelState,
+    model: NetworkModel,
+    solver_cfg: Optional[SolverConfig] = None,
+    weight_cfg: Optional[WeightConfig] = None,
+    trace: Optional[list] = None,
+) -> np.ndarray:
+    """Stepwise reference of ``solve_allocation``: all cycles * K steps in turn.
+
+    Reads each gradient through the link map and the numpy differentials, then
+    visits every element in every cycle, g <= 0 ones included, and projects
+    after each bump whenever an endpoint constraint is violated. It returns
+    the bits ``solve_allocation`` returns. ``trace``, when a list, receives
+    (step, objective) tuples, one per step.
+    """
+    cfg = solver_cfg or SolverConfig()
+    wcfg = weight_cfg or WeightConfig()
+    ws = model.solver_workspace()
+    K = ws.size
+    if K == 0:
+        return np.zeros(0)
+    w = {
+        fl.flow_id: weight(snapshot.flow_backlogs.get(fl.flow_id, 0), wcfg.thresholds.get(fl.flow_id), wcfg)
+        for fl in model.flows
+    }
+    link_pos = channel.positions
+    rates = channel.rates.tolist()
+    glist = [
+        w[f] * float(snapshot.differentials[pos]) * rates[link_pos[(i, j)]]
+        for pos, (i, j, f) in enumerate(model.link_flow_index.triples)
+    ]
+    if not any(gk > 0 for gk in glist):
+        return np.zeros(K)
+
+    s = [0.0] * K
+    consum = [0.0] * len(ws.members)
+    members = ws.members
+    sizes = ws.sizes
+    eca, ecb = ws.elem_ca, ws.elem_cb
+    eover, esame = ws.elem_overlap, ws.elem_same
+    alpha = cfg.alpha
+    tol = cfg.tolerance
+    pair = _pair_multipliers
+
+    def sub(mlist, lam):
+        for m in mlist:
+            s[m] -= lam
+            consum[eca[m]] -= lam
+            consum[ecb[m]] -= lam
+
+    total_steps = cfg.cycles * K
+    for step in range(total_steps):
+        k = step % K
+        gk = glist[k]
+        if gk > 0.0:
+            a = eca[k]
+            b = ecb[k]
+            d = alpha * gk
+            s[k] += d
+            consum[a] += d
+            consum[b] += d
+            ea = consum[a] - 1.0
+            eb = consum[b] - 1.0
+            if ea > tol or eb > tol:
+                la, lb = pair(ea, eb, sizes[a], sizes[b], eover[k], esame[k], tol)
+                if la:
+                    sub(members[a], la)
+                if lb:
+                    sub(members[b], lb)
+        if trace is not None:
+            trace.append((step + 1, sum(glist[m] * s[m] for m in range(K))))
+    return _finalize(s, ws, snapshot.differentials)
 
 
 def enumerate_activation_sets(model: NetworkModel, max_sets: int = 200_000):

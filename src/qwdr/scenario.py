@@ -352,6 +352,8 @@ def load_scenario(path) -> ScenarioConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"scenario file not found: {path}")
+    except OSError as exc:  # a directory, an unreadable file, ...
+        raise ConfigError(f"cannot read scenario file {path}: {exc.strerror or exc}")
     except ValueError as exc:  # also digit strings past Python's int limit
         raise ConfigError(f"scenario file is not valid JSON: {exc}")
     name = str(path).rsplit("/", 1)[-1].removesuffix(".json")

@@ -25,17 +25,24 @@ from typing import Optional
 import numpy as np
 
 from .network import NetworkModel, QueueMatrix, SimulationInvariantError
+from .oracle import stepwise_allocation
 from .solver import SolverConfig, WeightConfig, solve_allocation
 from .stochastic import ArrivalProcess, ChannelModel, ChannelState
 
 
 def next_review_period(total_queue: float, k0: float) -> int:
-    """Slots until the next review: ceil(max(1, log(1 + k0 * backlog)))."""
-    if total_queue < 0:
-        raise ValueError("total queue must be >= 0")
-    if k0 < 0:
-        raise ValueError("k0 must be >= 0")
-    return int(math.ceil(max(1.0, math.log1p(k0 * total_queue))))
+    """Slots until the next review: ceil(max(1, log(1 + k0 * backlog))).
+
+    A product too large for a float takes its logarithm as a sum, so any
+    finite k0 and backlog give a finite period.
+    """
+    if not 0 <= total_queue < math.inf:
+        raise ValueError("total queue must be finite and >= 0")
+    if not 0 <= k0 < math.inf:
+        raise ValueError("k0 must be finite and >= 0")
+    x = k0 * total_queue
+    growth = math.log1p(x) if x < math.inf else math.log(k0) + math.log(total_queue)
+    return int(math.ceil(max(1.0, growth)))
 
 
 @dataclass
@@ -84,17 +91,17 @@ def create_schedule(
             )
     if period < 1:
         raise ValueError("period must be >= 1")
-    node_pos = {n: p for p, n in enumerate(model.nodes)}
-    busy = [bytearray(period) for _ in model.nodes]
+    # one busy mask per node with elements, indexed like its constraint
+    busy = [bytearray(period) for _ in ws.nodes]
+    eca, ecb = ws.elem_ca, ws.elem_cb
     active: list[list[int]] = [[] for _ in range(period)]
-    counts = np.zeros(ws.size, dtype=np.int64)
+    counts = [0] * ws.size
     quota = alloc * period
-    for p, (i, j, f) in enumerate(model.link_flow_index.triples):
-        q = quota[p]
+    for p, q in enumerate(quota.tolist()):
         if q <= 0.0:
             continue
-        busy_i = busy[node_pos[i]]
-        busy_j = busy[node_pos[j]]
+        busy_i = busy[eca[p]]
+        busy_j = busy[ecb[p]]
         got = 0
         for t in range(period):
             if got >= q:
@@ -106,6 +113,7 @@ def create_schedule(
             active[t].append(p)
             got += 1
         counts[p] = got
+    counts = np.array(counts, dtype=np.int64)
     return SlotSchedule(period, active, counts, quota)
 
 
@@ -204,7 +212,7 @@ def run(
     queues = QueueMatrix(model)
     triples = queues.triples
     flow_ids = [fl.flow_id for fl in model.flows]
-    link_pos = [channel.positions[(i, j)] for (i, j, f) in triples]
+    link_pos = model.solver_workspace().link_offsets(channel.positions)
     source_list = list(arrivals.sources)
     flow_backlog = queues.flow_backlog
 
@@ -226,13 +234,15 @@ def run(
         period = next_review_period(total, k0)
         state = channel.draw(review_index)
         snap = queues.snapshot()
-        trace_buf: Optional[list] = [] if record_solver_trace else None
-        alloc = solve_allocation(snap, state, model, solver_cfg, weight_cfg, trace=trace_buf)
-        if trace_buf:
+        if record_solver_trace:
+            # the stepwise reference returns the same bits and records each step
+            trace_buf: list = []
+            alloc = stepwise_allocation(snap, state, model, solver_cfg, weight_cfg, trace=trace_buf)
             solver_trace.extend((review_index, step, obj) for step, obj in trace_buf)
+        else:
+            alloc = solve_allocation(snap, state, model, solver_cfg, weight_cfg)
         schedule = create_schedule(alloc, model, period)
-        if bool(np.any(schedule.counts[snap.differentials == 0] > 0)):
-            zero_scheduled += int(schedule.counts[snap.differentials == 0].sum())
+        zero_scheduled += int(schedule.counts[snap.differentials == 0].sum())
         reviews.append(ReviewRecord(review_index, t, t + period, total))
         rates = state.rates.tolist()
         service = [int(rates[link]) for link in link_pos]

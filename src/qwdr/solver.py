@@ -35,6 +35,25 @@ into the amounts to subtract from each constraint's members. The solver's
 step and the public ``project_pair`` both call it. The iterative scheme it
 is the limit of, Boyle-Dykstra corrected alternation, is kept as a test
 reference in ``oracle.alternating_projection_pair``.
+
+Only the steps that can change the iterate are taken; the result is
+bit-identical to taking all cycles * K of them (``oracle.stepwise_allocation``
+does, and records the objective after each):
+
+* A step whose element has g <= 0 changes nothing, so each cycle visits only
+  the elements with g > 0, in position order. The arithmetic is the same
+  sequence of float operations.
+* Fast path: let S_c be the sum of alpha * g_k over the positive members of
+  node c. If cycles * S_c < 1 - 1e-6 for every node, no projection can
+  fire. Without projections the node sums only grow, and after the last
+  step they equal cycles * S_c up to rounding: the step loop's sum and the
+  precheck's each round at most cycles * K additions, so each is within a
+  relative cycles * K * 2^-53 of the exact value, below 1.2e-7 for up to
+  1e9 steps (``CALM_MAX_STEPS``) and far inside the 1e-6 margin. So every
+  excess stays negative, below any tolerance >= 0. Each s_k then only
+  receives its own bump d = alpha * g_k once a cycle; adding d to 0.0
+  ``cycles`` times is the same sequence of additions the step loop makes,
+  so s_k has the same bits. The node sums themselves are not kept.
 """
 
 from __future__ import annotations
@@ -50,6 +69,13 @@ from .stochastic import ChannelState
 
 #: excess below which a node constraint counts as satisfied
 TOLERANCE = 1e-9
+
+#: a node whose positive bumps sum, over all cycles, below this bound can
+#: never reach its constraint, whatever the rounding of the step sums
+CALM_BOUND = 1.0 - 1e-6
+#: steps per solve up to which that rounding margin is proven (see the
+#: module docstring)
+CALM_MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -209,13 +235,6 @@ class SolverConfig:
             raise ValueError("tolerance must be >= 0")
 
 
-def _flow_weights(snapshot: QueueSnapshot, model: NetworkModel, cfg: WeightConfig) -> dict[int, float]:
-    return {
-        f: weight(snapshot.flow_backlogs.get(f, 0), cfg.thresholds.get(f), cfg)
-        for f in (flow.flow_id for flow in model.flows)
-    }
-
-
 def gradient_vector(
     snapshot: QueueSnapshot,
     channel: ChannelState,
@@ -223,14 +242,22 @@ def gradient_vector(
     weight_cfg: WeightConfig,
 ) -> np.ndarray:
     """Element gradients w(Qf) * Qij_f * mu_ij, in position order."""
-    index = model.link_flow_index
-    w = _flow_weights(snapshot, model, weight_cfg)
-    link_pos = channel.positions
+    return np.array(_gradients(snapshot, channel, model, weight_cfg), dtype=float)
+
+
+def _gradients(snapshot, channel, model, weight_cfg) -> list[float]:
+    """``gradient_vector`` as a plain list, read by position throughout."""
+    ws = model.solver_workspace()
+    backlogs = snapshot.flow_backlogs
+    thresholds = weight_cfg.thresholds
+    w = [weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg) for f in ws.flow_ids]
     rates = channel.rates.tolist()
-    g = np.empty(len(index))
-    for pos, (i, j, f) in enumerate(index.triples):
-        g[pos] = w[f] * float(snapshot.differentials[pos]) * rates[link_pos[(i, j)]]
-    return g
+    return [
+        w[fp] * d * rates[link]
+        for fp, d, link in zip(
+            ws.elem_flow, snapshot.differentials.tolist(), ws.link_offsets(channel.positions)
+        )
+    ]
 
 
 def solve_allocation(
@@ -239,18 +266,19 @@ def solve_allocation(
     model: NetworkModel,
     solver_cfg: Optional[SolverConfig] = None,
     weight_cfg: Optional[WeightConfig] = None,
-    trace: Optional[list] = None,
 ) -> np.ndarray:
     """Time fractions per element for one review period.
 
-    Runs cycles * K incremental gradient steps: bump one element, then
-    project onto the (at most two) violated endpoint-node constraints, with
-    the kernel ``project_pair`` uses. The step does not enforce s >= 0
+    The result of cycles * K incremental gradient steps: bump one element,
+    then project onto the (at most two) violated endpoint-node constraints,
+    with the kernel ``project_pair`` uses. The step does not enforce s >= 0
     (see the module docstring), so the raw iterate can go negative.
     Finalization clamps negatives, rescales any node whose incident sum
     exceeds 1, and zeroes every element whose differential backlog was zero
     at the review instant. All-zero backlog short-circuits to the zero
-    vector. ``trace``, when a list, receives (step, objective) tuples.
+    vector. Only the steps that can change the iterate are taken (see the
+    module docstring); ``oracle.stepwise_allocation`` takes every step and
+    returns the same bits.
     """
     cfg = solver_cfg or SolverConfig()
     wcfg = weight_cfg or WeightConfig()
@@ -258,21 +286,36 @@ def solve_allocation(
     K = ws.size
     if K == 0:
         return np.zeros(0)
-    g = gradient_vector(snapshot, channel, model, wcfg)
-    dif = snapshot.differentials
-    if not np.any(g > 0):
+    glist = _gradients(snapshot, channel, model, wcfg)
+    alpha = cfg.alpha
+    cycles = cfg.cycles
+    eca, ecb = ws.elem_ca, ws.elem_cb
+    # the steps that move the iterate, in step order: element, its two
+    # constraints and its bump
+    steps = [(k, eca[k], ecb[k], alpha * gk) for k, gk in enumerate(glist) if gk > 0.0]
+    if not steps:
         return np.zeros(K)
+
+    s = [0.0] * K
+    members = ws.members
+    per_cycle = [0.0] * len(members)  # what one cycle adds to each node's sum
+    for k, a, b, d in steps:
+        per_cycle[a] += d
+        per_cycle[b] += d
+    if max(per_cycle) * cycles < CALM_BOUND and cycles * K <= CALM_MAX_STEPS:
+        # no projection can fire: each element only adds its bump once a cycle
+        for k, a, b, d in steps:
+            x = 0.0
+            for _ in range(cycles):
+                x += d
+            s[k] = x
+        return _finalize(s, ws, snapshot.differentials)
 
     # flat state with incrementally maintained constraint sums; every element
     # belongs to exactly two constraints, so one coordinate change updates two
-    s = [0.0] * K
-    consum = [0.0] * len(ws.members)
-    members = ws.members
+    consum = [0.0] * len(members)
     sizes = ws.sizes
-    eca, ecb = ws.elem_ca, ws.elem_cb
     eover, esame = ws.elem_overlap, ws.elem_same
-    glist = g.tolist()
-    alpha = cfg.alpha
     tol = cfg.tolerance
     pair = _pair_multipliers
 
@@ -282,14 +325,8 @@ def solve_allocation(
             consum[eca[m]] -= lam
             consum[ecb[m]] -= lam
 
-    total_steps = cfg.cycles * K
-    for step in range(total_steps):
-        k = step % K
-        gk = glist[k]
-        if gk > 0.0:
-            a = eca[k]
-            b = ecb[k]
-            d = alpha * gk
+    for _ in range(cycles):
+        for k, a, b, d in steps:
             s[k] += d
             consum[a] += d
             consum[b] += d
@@ -301,14 +338,13 @@ def solve_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-        if trace is not None:
-            trace.append((step + 1, sum(glist[m] * s[m] for m in range(K))))
+    return _finalize(s, ws, snapshot.differentials)
 
-    for k in range(K):
-        if s[k] < 0.0:
-            s[k] = 0.0
-    for cid in range(len(members)):  # sequential per-node rescale; shrinking only
-        mlist = members[cid]
+
+def _finalize(s: list[float], ws, differentials: np.ndarray) -> np.ndarray:
+    """Clamp negatives, rescale each overfull node in turn, zero idle elements."""
+    s = [0.0 if x < 0.0 else x for x in s]
+    for mlist in ws.members:  # sequential per-node rescale; shrinking only
         total = 0.0
         for m in mlist:
             total += s[m]
@@ -316,7 +352,7 @@ def solve_allocation(
             for m in mlist:
                 s[m] /= total
     out = np.asarray(s, dtype=float)
-    out[dif == 0] = 0.0
+    out[differentials == 0] = 0.0
     return out
 
 

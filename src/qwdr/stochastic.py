@@ -105,6 +105,17 @@ class ChannelModel:
         self.seed = int(seed)
         self.stream = int(stream)
         self._key = _philox_key(seed, stream)
+        # one generator, moved to each draw's counter block (see ``_seek``)
+        self._bitgen = np.random.Philox(key=self._key)
+        self._rng = np.random.Generator(self._bitgen)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,  # buffer used up: the next output starts a new block
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         self._fixed_rates = None
         if fixed_rates is not None:
             self._fixed_rates = np.array([float(fixed_rates[l]) for l in self.links])
@@ -129,6 +140,21 @@ class ChannelModel:
             return 0.0
         return float(np.log1p(self.gain_cap.max() / self.sigma2))
 
+    def _seek(self, index: int) -> np.random.Generator:
+        """The model's generator in the state ``_rng_at(key, index)`` starts in.
+
+        Sets the Philox counter to ``index << 128`` with an empty output
+        buffer, as a new generator at that counter has, without building one.
+        The generator is shared, so draws from one model must not overlap in
+        time (the simulator draws from one thread).
+        """
+        index = int(index)
+        counter = self._state["state"]["counter"]
+        counter[2] = index & 0xFFFF_FFFF_FFFF_FFFF
+        counter[3] = index >> 64
+        self._bitgen.state = self._state
+        return self._rng
+
     def draw(self, review_index: int) -> ChannelState:
         """Fresh i.i.d. gains for every link; same index -> same state."""
         if review_index < 0:
@@ -138,7 +164,7 @@ class ChannelModel:
             if self._fixed_rates is not None:
                 return ChannelState(self.links, gains, self._fixed_rates.copy(), self.positions)
             return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2), self.positions)
-        rng = _rng_at(self._key, review_index)
+        rng = self._seek(review_index)
         if self.gain_model == "power":
             gains = rng.exponential(self.mean_gain)
         else:

@@ -39,6 +39,14 @@ class TestValidate:
     def test_missing_file_exit_code(self, capsys):
         assert main(["validate", "/no/such/file.json"]) == 2
 
+    def test_directory_exit_code(self, tmp_path, capsys):
+        # an unreadable file takes the same OSError path; it is not tested,
+        # since a process running as root can read any file
+        assert main(["validate", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and str(tmp_path) in err
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_run_writes_outputs(self, tmp_path, capsys):
@@ -79,6 +87,18 @@ class TestRun:
         assert "run.horizon_slots" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_huge_k0_run_completes(self, tmp_path, capsys):
+        # k0 * backlog overflows a float once two packets wait
+        doc = tandem_doc()
+        doc["review"] = {"k0": 1e308}
+        doc["run"]["horizon_slots"] = 5000
+        path = write_scenario(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        assert main(["run", path, "--out", str(out_dir)]) == 0
+        net = json.loads((out_dir / "metrics.json").read_text())["network"]
+        assert net["horizon_slots"] == 5000
+        assert net["injected"] == net["delivered"] + net["in_flight"]
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         path = write_scenario(tmp_path, tandem_doc())

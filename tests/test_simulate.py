@@ -35,6 +35,17 @@ class TestNextReviewPeriod:
         for q in (0, 1, 10, 10**9):
             assert next_review_period(q, 0.01) >= 1
 
+    def test_overflowing_product_gives_finite_period(self):
+        # k0 * backlog overflows a float; the log is taken as a sum instead:
+        # log(1e308) + log(2) = 709.89 -> period 710
+        assert next_review_period(2, 1e308) == 710
+        assert next_review_period(10**300, 1e308) == math.ceil(math.log(1e308) + math.log(10**300))
+
+    @pytest.mark.parametrize("k0", [math.inf, math.nan, -1.0])
+    def test_bad_k0_rejected(self, k0):
+        with pytest.raises(ValueError, match="k0"):
+            next_review_period(5, k0)
+
 
 def single_link_model(rate=1.0):
     flows = [FlowSpec(flow_id=2, source=1, route=(1, 2), arrival_rate=rate)]

@@ -11,6 +11,7 @@ from qwdr import (
     HalfspaceConstraint,
     LinearProgramInstance,
     NetworkModel,
+    QueueSnapshot,
     SolverConfig,
     WeightConfig,
     allocation_objective,
@@ -25,6 +26,8 @@ from qwdr import (
     suboptimality_bound,
     weight,
 )
+from qwdr.oracle import stepwise_allocation
+from qwdr.solver import TOLERANCE
 from conftest import fixed_channel, fork_model, queues_with, tandem_model
 
 
@@ -285,7 +288,7 @@ class TestSolveAllocation:
         snap = queues.snapshot()
         channel = fixed_channel(model, 2.0).draw(0)
         trace = []
-        solve_allocation(snap, channel, model, SolverConfig(cycles=3), trace=trace)
+        stepwise_allocation(snap, channel, model, SolverConfig(cycles=3), trace=trace)
         assert len(trace) == 3 * 2
         steps = [s for s, _ in trace]
         assert steps == sorted(steps)
@@ -365,6 +368,93 @@ class TestSolverStepIsProjectPair:
         alloc = solve_allocation(snap, channel, model, cfg, wcfg)
         expected = self.reference(model, snap, channel, cfg, wcfg)
         assert np.max(np.abs(alloc - expected), initial=0.0) <= 1e-9
+
+
+def _small_grid(rows, cols, pairs):
+    """A rows x cols grid with one flow per (source, destination) cell pair.
+
+    Each route goes along the source row, then down the destination column;
+    flows are keyed by destination, so repeated destinations are dropped.
+    """
+
+    def node(r, c):
+        return r * cols + c
+
+    flows = {}
+    for (sr, sc), (dr, dc) in pairs:
+        if (sr, sc) == (dr, dc) or node(dr, dc) in flows:
+            continue
+        step_c = 1 if dc >= sc else -1
+        step_r = 1 if dr >= sr else -1
+        cells = [(sr, c) for c in range(sc, dc + step_c, step_c)]
+        cells += [(r, dc) for r in range(sr + step_r, dr + step_r, step_r)]
+        route = tuple(node(r, c) for r, c in cells)
+        flows[route[-1]] = FlowSpec(flow_id=route[-1], source=route[0], route=route, arrival_rate=1.0)
+    links = {hop for fl in flows.values() for hop in fl.hops}
+    return NetworkModel(nodes=range(rows * cols), links=links, flows=flows.values())
+
+
+#: alpha as a multiple of the calm limit 1 / (cycles * max node sum of g+):
+#: well inside, at and around the fast path's 1 - 1e-6 threshold, and beyond
+CALM_FRACTIONS = [0.25, 0.999_998, 0.999_998_9, 0.999_999, 0.999_999_1, 1.0, 1.2, 3.0, 40.0]
+
+
+@st.composite
+def stepwise_instances(draw):
+    kind = draw(st.sampled_from(["star", "vee", "chain", "grid"]))
+    if kind == "grid":
+        rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        pairs = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=5))
+        model = _small_grid(rows, cols, pairs)
+        if len(model.flows) == 0:
+            model = _small_grid(rows, cols, [((0, 0), (rows - 1, cols - 1))])
+    else:
+        model = _small_topology(kind, draw(st.integers(1, 5)))
+    K = len(model.link_flow_index)
+    rates = {link: draw(st.sampled_from([0.0, 0.7, 1.9, 3.3])) for link in model.links}
+    channel = ChannelModel(links=model.links, mean_gain={}, fixed_rates=rates).draw(0)
+    # negative and zero differentials give g <= 0 elements
+    dif = np.array(draw(st.lists(st.integers(-3, 30), min_size=K, max_size=K)), dtype=np.int64)
+    backlogs = {fl.flow_id: draw(st.integers(0, 60)) for fl in model.flows}
+    snap = QueueSnapshot(dif, backlogs, sum(backlogs.values()))
+    thresholds = {fl.flow_id: draw(st.floats(1.0, 40.0)) for fl in model.flows if draw(st.booleans())}
+    wcfg = WeightConfig(a1=draw(st.sampled_from([0.0, 0.2])), a2=2.0, thresholds=thresholds)
+    cycles = draw(st.integers(1, 40))
+    g = gradient_vector(snap, channel, model, wcfg)
+    node_sums = [sum(g[m] for m in con.members if g[m] > 0) for con in node_constraints(model).values()]
+    worst = max(node_sums, default=0.0)
+    if worst > 0 and draw(st.booleans()):
+        alpha = draw(st.sampled_from(CALM_FRACTIONS)) / (cycles * worst)
+    else:
+        alpha = draw(st.floats(1e-4, 0.5))
+    tolerance = draw(st.sampled_from([0.0, TOLERANCE]))
+    return model, snap, channel, SolverConfig(alpha=alpha, cycles=cycles, tolerance=tolerance), wcfg
+
+
+class TestSolveMatchesStepwise:
+    """``solve_allocation`` skips steps yet returns the stepwise reference's bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(instance=stepwise_instances())
+    def test_bitwise_equal(self, instance):
+        model, snap, channel, cfg, wcfg = instance
+        fast = solve_allocation(snap, channel, model, cfg, wcfg)
+        slow = stepwise_allocation(snap, channel, model, cfg, wcfg)
+        assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("fraction", CALM_FRACTIONS)
+    def test_bitwise_equal_around_threshold(self, fraction):
+        # a star puts every element on the hub: the hub's sum sets the limit
+        model = _small_topology("star", 4)
+        channel = fixed_channel(model, 1.9).draw(0)
+        snap = QueueSnapshot(np.array([7, 0, 3, 12]), {1: 7, 2: 0, 3: 3, 4: 12}, 22)
+        g = gradient_vector(snap, channel, model, WeightConfig())
+        for cycles in (1, 15, 40):
+            cfg = SolverConfig(alpha=fraction / (cycles * g.sum()), cycles=cycles, tolerance=0.0)
+            fast = solve_allocation(snap, channel, model, cfg)
+            slow = stepwise_allocation(snap, channel, model, cfg)
+            assert fast.tobytes() == slow.tobytes()
 
 
 class TestSuboptimalityBound:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qwdr import ArrivalProcess, ChannelModel, achievable_rate
+from qwdr.stochastic import _rng_at
 
 
 class TestAchievableRate:
@@ -71,6 +72,34 @@ class TestChannelModel:
         assert state.rate((1, 2)) == 4.0
         assert state.rate((2, 3)) == 4.0
         assert int(state.rate((1, 2))) == 4  # integer floor stays exact
+
+
+class TestChannelGeneratorReuse:
+    """One generator per model, moved to each draw's counter block."""
+
+    LINKS = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
+
+    @staticmethod
+    def fresh_gains(ch, index):
+        """The gains of a new generator built at ``index``'s counter block."""
+        rng = _rng_at(ch._key, index)
+        if ch.gain_model == "power":
+            gains = rng.exponential(ch.mean_gain)
+        else:
+            gains = rng.rayleigh(scale=ch.mean_gain / np.sqrt(np.pi / 2.0))
+        return np.minimum(gains, ch.gain_cap)
+
+    @pytest.mark.parametrize("gain_model", ["power", "amplitude"])
+    def test_draws_bitwise_equal_to_fresh_generator(self, gain_model):
+        mean = {link: 0.5 + n for n, link in enumerate(self.LINKS)}
+        ch = ChannelModel(self.LINKS, mean, gain_model=gain_model, seed=7)
+        indices = list(range(1000)) + [12_345, 10**6, 2**63 + 5, 2**64 + 3, 2**100]
+        np.random.default_rng(3).shuffle(indices)
+        for index in indices:
+            state = ch.draw(index)
+            gains = self.fresh_gains(ch, index)
+            assert state.gains.tobytes() == gains.tobytes(), index
+            assert state.rates.tobytes() == achievable_rate(gains, ch.sigma2).tobytes(), index
 
 
 class TestArrivalProcess:
