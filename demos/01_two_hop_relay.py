@@ -24,7 +24,7 @@ cfg = qwdr.scenario_from_dict(
 model = cfg.build_model()
 print(f"network: {len(model.nodes)} nodes, {len(model.links)} links, "
       f"{len(model.link_flow_index)} link-flow elements")
-print(f"interference sets: { {n: sorted(s) for n, s in model.interference_sets.items()} }")
+print(f"interference sets: { {n: sorted(s) for n, s in qwdr.build_interference_sets(model.links).items()} }")
 
 result = qwdr.run(
     model=model,

@@ -170,7 +170,7 @@ class _SolverWorkspace:
 
 
 class NetworkModel:
-    """Validated static description: graph, flows, interference, element index."""
+    """Validated static description: graph, flows and element index."""
 
     def __init__(self, nodes: Iterable[int], links: Iterable[Link], flows: Iterable[FlowSpec]):
         self.nodes: tuple[int, ...] = tuple(sorted(set(nodes)))
@@ -190,13 +190,8 @@ class NetworkModel:
             for hop in flow.hops:
                 if hop not in link_set:
                     raise ValueError(f"flow {flow.flow_id}: route hop {hop} is not a link")
-        self.interference_sets = build_interference_sets(self.links)
         self.link_flow_index = LinkFlowIndex(self.flows)
         self._workspace: Optional[_SolverWorkspace] = None
-
-    @property
-    def flow_by_id(self) -> dict[int, FlowSpec]:
-        return {fl.flow_id: fl for fl in self.flows}
 
     def solver_workspace(self) -> _SolverWorkspace:
         if self._workspace is None:

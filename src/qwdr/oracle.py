@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .network import NetworkModel, QueueSnapshot
 from .solver import (
@@ -375,6 +374,8 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
     bounds = [(0.0, 1.0)] * n_sets + [(None, None)]
     cost = np.zeros(n_sets + 1)
     cost[-1] = -1.0  # maximize eps
+    from scipy.optimize import linprog  # only this LP needs scipy; the run path never loads it
+
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         raise RuntimeError(f"capacity LP failed: {res.message}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it on first use: load it here, not in a build)
 
 from .network import Link
 
@@ -121,15 +122,19 @@ class ChannelModel:
             self._fixed_rates = np.array([float(fixed_rates[l]) for l in self.links])
             if not np.all(self._fixed_rates >= 0):
                 raise ValueError("fixed rates must be >= 0")
-            self.mean_gain = np.expm1(self._fixed_rates) * self.sigma2
+            # a run reads only the fixed rates; the back-computed gain is inf above rate ~709
+            with np.errstate(over="ignore"):
+                self.mean_gain = np.expm1(self._fixed_rates) * self.sigma2
             self.gain_model = "fixed"
         else:
             self.mean_gain = np.array([float(mean_gain[l]) for l in self.links])
             if not np.all(self.mean_gain >= 0):
                 raise ValueError("mean gains must be >= 0")
-        self.gain_cap = self.mean_gain * self.truncation_factor
-        if not np.isfinite(self.max_rate):
-            raise ValueError("link rates are unbounded: truncated gain / sigma2 overflows")
+        # an overflow gives inf: a fading link's is rejected, a fixed-rate link's is never read
+        with np.errstate(over="ignore"):
+            self.gain_cap = self.mean_gain * self.truncation_factor
+            if not np.isfinite(self.max_rate):
+                raise ValueError("link rates are unbounded: truncated gain / sigma2 overflows")
 
     @property
     def max_rate(self) -> float:

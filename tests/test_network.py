@@ -102,8 +102,9 @@ class TestNetworkModel:
 
     def test_every_link_in_exactly_its_endpoint_sets(self):
         model = three_node_model()
+        sets = build_interference_sets(model.links)
         for link in model.links:
-            holders = [n for n, s in model.interference_sets.items() if link in s]
+            holders = [n for n, s in sets.items() if link in s]
             assert sorted(holders) == sorted(link)
 
 

@@ -62,11 +62,20 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             scenario_from_dict(doc)
 
+    @pytest.mark.filterwarnings("error")
     def test_unbounded_channel_rates_rejected(self):
         # gain / sigma2 overflows to an infinite rate, which no slot budget can hold
         doc = minimal_doc()
         doc["channel"] = {"sigma2": 1e-320}
         with pytest.raises(ConfigError, match="sigma2"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_gain_cap_rejected(self):
+        # mean gain x truncation factor overflows to an infinite gain cap
+        doc = minimal_doc()
+        doc["channel"] = {"gain_scale": 1e307}  # mean gain 4e307 at d = 0.5
+        with pytest.raises(ConfigError, match="unbounded"):
             scenario_from_dict(doc)
 
     def test_solver_and_weight_limits_accepted(self):

@@ -73,6 +73,15 @@ class TestChannelModel:
         assert state.rate((2, 3)) == 4.0
         assert int(state.rate((1, 2))) == 4  # integer floor stays exact
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [708.0, 709.0, 800.0, 2.0**70])
+    def test_huge_fixed_rate_draws_without_warning(self, rate):
+        # the back-computed gain overflows to inf; the rate stays exact
+        ch = ChannelModel(links=[(1, 2)], mean_gain={}, fixed_rates={(1, 2): rate})
+        state = ch.draw(3)
+        assert state.rate((1, 2)) == rate
+        assert ch.max_rate == rate
+
 
 class TestChannelGeneratorReuse:
     """One generator per model, moved to each draw's counter block."""
