@@ -10,7 +10,7 @@ onto the intersection; ``project_pair`` evaluates that limit in closed form.
 
 import numpy as np
 
-from qwdr import (
+from qwdr.oracle import (
     HalfspaceConstraint,
     alternating_projection_pair,
     project_onto_halfspace,

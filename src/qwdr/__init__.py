@@ -6,7 +6,8 @@ problem is solved by distributed incremental gradient ascent, the resulting
 time fractions are frozen into an interference-free slot schedule, and the
 slot engine moves packets until the next review. Exact desk-scale references
 (basic-solution LP, active-set projection, capacity membership) validate the
-solver and the stability behaviour.
+solver and the stability behaviour; all but the capacity check are imported
+from ``qwdr.oracle``.
 """
 
 from .network import (
@@ -21,14 +22,10 @@ from .network import (
 from .oracle import (
     CapacityQuery,
     CapacityResult,
-    LinearProgramInstance,
     SizeError,
-    alternating_projection_pair,
     capacity_membership,
     enumerate_activation_sets,
-    lp_solve_exact,
     mean_rates_from_channel,
-    qp_project_exact,
 )
 from .scenario import (
     ConfigError,
@@ -40,14 +37,9 @@ from .scenario import (
 from .metrics import FlowMetrics, collect_metrics, compare_runs, flow_metrics, round_half_away_from_zero
 from .simulate import RunResult, SlotSchedule, create_schedule, next_review_period, run, step_slot
 from .solver import (
-    HalfspaceConstraint,
     SolverConfig,
     WeightConfig,
-    allocation_objective,
     gradient_vector,
-    node_constraints,
-    project_onto_halfspace,
-    project_pair,
     solve_allocation,
     suboptimality_bound,
     weight,
@@ -65,8 +57,6 @@ __all__ = [
     "ConfigError",
     "FlowMetrics",
     "FlowSpec",
-    "HalfspaceConstraint",
-    "LinearProgramInstance",
     "LinkFlowIndex",
     "NetworkModel",
     "QueueMatrix",
@@ -79,8 +69,6 @@ __all__ = [
     "SolverConfig",
     "WeightConfig",
     "achievable_rate",
-    "allocation_objective",
-    "alternating_projection_pair",
     "build_interference_sets",
     "capacity_membership",
     "collect_metrics",
@@ -90,14 +78,9 @@ __all__ = [
     "flow_metrics",
     "gradient_vector",
     "load_scenario",
-    "lp_solve_exact",
     "make_paper15_scenario",
     "mean_rates_from_channel",
     "next_review_period",
-    "node_constraints",
-    "project_onto_halfspace",
-    "project_pair",
-    "qp_project_exact",
     "round_half_away_from_zero",
     "run",
     "scenario_from_dict",

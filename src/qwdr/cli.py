@@ -42,7 +42,6 @@ def _cmd_run(args) -> int:
         k0=cfg.k0,
         queue_sample_interval=cfg.queue_sample_interval,
         record_schedule=cfg.schedule_trace,
-        record_solver_trace=cfg.solver_trace,
     )
     doc = collect_metrics(result, cfg, out_dir=args.out)
     print(f"scenario {cfg.name}: {cfg.horizon_slots} slots, mode={cfg.mode}, seed={cfg.seed}")
@@ -62,6 +61,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--max-sets", args.max_sets)):
+        if value < 1:
+            raise ConfigError(f"{flag}: must be >= 1, got {value}")
     cfg = load_scenario(args.scenario)
     model = cfg.build_model()
     channel = cfg.build_channel()

@@ -51,7 +51,7 @@ class FlowMetrics:
         }
 
 
-def flow_metrics(result: RunResult, scenario: Optional[ScenarioConfig] = None) -> dict[int, FlowMetrics]:
+def flow_metrics(result: RunResult) -> dict[int, FlowMetrics]:
     by_flow = {}
     horizon = result.horizon
     for flow in result.model.flows:
@@ -85,10 +85,10 @@ def collect_metrics(
     """Assemble the full metrics document; write files when ``out_dir`` given.
 
     Files: metrics.json (everything), delays.csv (flow, target, achieved),
-    queues.csv (sampled backlog trajectories), reviews.csv, and optionally
-    schedule.csv / solver_trace.csv when their traces were recorded.
+    queues.csv (sampled backlog trajectories), reviews.csv, and schedule.csv
+    when the run recorded its schedule.
     """
-    flows = flow_metrics(result, scenario)
+    flows = flow_metrics(result)
     doc = {
         "config": scenario.to_json_dict() if scenario is not None else None,
         "flows": {str(f): m.to_json_dict() for f, m in sorted(flows.items())},
@@ -140,11 +140,6 @@ def collect_metrics(
                 writer = csv.writer(fh)
                 writer.writerow(["slot", "i", "j", "flow"])
                 writer.writerows(result.schedule_trace)
-        if result.solver_trace is not None:
-            with open(os.path.join(out_dir, "solver_trace.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["review_index", "step", "objective"])
-                writer.writerows(result.solver_trace)
     return doc
 
 

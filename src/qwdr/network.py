@@ -235,7 +235,6 @@ class QueueMatrix:
     """
 
     def __init__(self, model: NetworkModel):
-        self.model = model
         index = model.link_flow_index
         self.triples = index.triples
         size = len(self.triples)

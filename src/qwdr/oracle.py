@@ -1,13 +1,16 @@
 """Exact desk-scale references used to validate the solver and stability runs.
 
-Everything here trades scalability for certainty: the LP reference
-enumerates basic solutions, the projection reference enumerates active sets,
-and the capacity check enumerates interference-free activation sets. All
-three raise ``SizeError`` beyond their stated enumeration scale instead of
-silently approximating. The corrected alternating scheme for a pair of
-halfspaces is the iterative reference of the solver's closed-form pair
-projection, and the stepwise allocation takes every step that
-``solve_allocation`` skips, recording the objective after each.
+Nothing here runs inside ``run()``: the tests, the demos and ``qwdr
+capacity`` call it. Everything here trades scalability for certainty: the
+LP reference enumerates basic solutions, the projection reference
+enumerates active sets, and the capacity check enumerates interference-free
+activation sets. All three raise ``SizeError`` beyond their stated
+enumeration scale instead of silently approximating. The corrected
+alternating scheme for a pair of halfspaces is the iterative reference of
+the solver's closed-form pair projection, and the stepwise allocation takes
+every step that ``solve_allocation`` skips. The constraint type, the single
+and pair projections and the objective serve these references and the
+tests.
 """
 
 from __future__ import annotations
@@ -19,20 +22,87 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .network import NetworkModel, QueueSnapshot
-from .solver import (
-    HalfspaceConstraint,
-    SolverConfig,
-    WeightConfig,
-    _finalize,
-    _pair_multipliers,
-    project_onto_halfspace,
-    weight,
-)
+from .solver import TOLERANCE, SolverConfig, WeightConfig, _finalize, _pair_multipliers, weight
 from .stochastic import ChannelState
 
 
 class SizeError(ValueError):
     """Instance exceeds the enumeration scale these references are built for."""
+
+
+@dataclass(frozen=True)
+class HalfspaceConstraint:
+    """sum of s over ``members`` <= ``bound``; the normal is the 0/1 indicator."""
+
+    members: tuple[int, ...]
+    bound: float = 1.0
+
+    def __post_init__(self):
+        if len(self.members) == 0:
+            raise ValueError("constraint needs a non-empty support")
+        if len(set(self.members)) != len(self.members):
+            raise ValueError("constraint support has repeated members")
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    def value(self, s: np.ndarray) -> float:
+        return float(np.sum(s[list(self.members)]))
+
+
+def node_constraints(model: NetworkModel) -> dict[int, HalfspaceConstraint]:
+    """One interference constraint per node over its incident elements."""
+    ws = model.solver_workspace()
+    return {
+        node: HalfspaceConstraint(tuple(ws.members[ws.node_constraint[node]]))
+        for node in ws.nodes
+    }
+
+
+def project_onto_halfspace(s: np.ndarray, constraint: HalfspaceConstraint) -> np.ndarray:
+    """Euclidean projection of s onto the halfspace; identity when feasible.
+
+    The excess is spread evenly over the support (excess / support size),
+    landing exactly on the boundary hyperplane.
+    """
+    s = np.asarray(s, dtype=float)
+    excess = constraint.value(s) - constraint.bound
+    if excess <= 0:
+        return s.copy()
+    out = s.copy()
+    out[list(constraint.members)] -= excess / constraint.size
+    return out
+
+
+def project_pair(
+    s: np.ndarray,
+    constraint_a: HalfspaceConstraint,
+    constraint_b: HalfspaceConstraint,
+) -> np.ndarray:
+    """Euclidean projection of s onto the intersection of two halfspaces.
+
+    The closed-form limit of the corrected alternating projection scheme
+    (``alternating_projection_pair``), computed by the kernel of the
+    solver's step (``solver._pair_multipliers``).
+    """
+    s = np.asarray(s, dtype=float)
+    ea = constraint_a.value(s) - constraint_a.bound
+    eb = constraint_b.value(s) - constraint_b.bound
+    out = s.copy()
+    if ea > TOLERANCE or eb > TOLERANCE:
+        ma, mb = set(constraint_a.members), set(constraint_b.members)
+        la, lb = _pair_multipliers(
+            ea, eb, constraint_a.size, constraint_b.size, len(ma & mb), ma == mb, TOLERANCE
+        )
+        out[list(constraint_a.members)] -= la
+        out[list(constraint_b.members)] -= lb
+    return out
+
+
+def allocation_objective(allocation: np.ndarray, g: np.ndarray) -> float:
+    """The allocation problem's objective g . s."""
+    return float(np.dot(np.asarray(allocation, dtype=float), np.asarray(g, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -189,15 +259,13 @@ def stepwise_allocation(
     model: NetworkModel,
     solver_cfg: Optional[SolverConfig] = None,
     weight_cfg: Optional[WeightConfig] = None,
-    trace: Optional[list] = None,
 ) -> np.ndarray:
     """Stepwise reference of ``solve_allocation``: all cycles * K steps in turn.
 
     Reads each gradient through the link map and the numpy differentials, then
     visits every element in every cycle, g <= 0 ones included, and projects
     after each bump whenever an endpoint constraint is violated. It returns
-    the bits ``solve_allocation`` returns. ``trace``, when a list, receives
-    (step, objective) tuples, one per step.
+    the bits ``solve_allocation`` returns.
     """
     cfg = solver_cfg or SolverConfig()
     wcfg = weight_cfg or WeightConfig()
@@ -253,8 +321,6 @@ def stepwise_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-        if trace is not None:
-            trace.append((step + 1, sum(glist[m] * s[m] for m in range(K))))
     return _finalize(s, ws, snapshot.differentials)
 
 
@@ -316,19 +382,19 @@ class CapacityResult:
     allocation: dict[tuple[int, int, int], float] = field(default_factory=dict)
 
 
-def mean_rates_from_channel(channel, n_samples: int = 200, start_index: int = 0) -> dict:
+def mean_rates_from_channel(channel, n_samples: int = 200) -> dict:
     """Channel-averaged rate per link, by Monte-Carlo over review draws.
 
     A degenerate (fixed) channel is reproduced exactly by a single draw.
     """
     if channel.gain_model == "fixed":
-        state = channel.draw(start_index)
+        state = channel.draw(0)
         return {link: state.rate(link) for link in channel.links}
     if n_samples < 1:
         raise ValueError("need at least one channel sample")
     acc = np.zeros(len(channel.links))
     for m in range(n_samples):
-        acc += channel.draw(start_index + m).rates
+        acc += channel.draw(m).rates
     acc /= n_samples
     return {link: float(acc[p]) for p, link in enumerate(channel.links)}
 

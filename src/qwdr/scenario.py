@@ -26,8 +26,8 @@ def _setting(default, section, low=None, strict=False, choices=None, fallback=No
     """A scalar setting, read from and echoed to ``section`` of a scenario file.
 
     ``low`` is its lower bound (excluded when ``strict``); ``choices`` lists
-    the allowed values of a string setting; a ``None`` value takes the value
-    of the setting named by ``fallback``.
+    its allowed values; a ``None`` value takes the value of the setting
+    named by ``fallback``.
     """
     meta = {"section": section, "low": low, "strict": strict, "choices": choices, "fallback": fallback}
     return field(default=default, metadata=meta)
@@ -69,7 +69,8 @@ class ScenarioConfig:
     mode: str = _setting("qwdr", "run", choices=("qwdr", "unweighted"))
     queue_sample_interval: int = _setting(100, "run", 0)  # 0 turns sampling off
     schedule_trace: bool = _setting(False, "run")
-    solver_trace: bool = _setting(False, "run")
+    # echoed in the output; only false is accepted, as no run records a per-step trace
+    solver_trace: bool = _setting(False, "run", choices=(False,))
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -19,15 +19,17 @@ and the exact ledger are as they would be with one entry per packet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .network import NetworkModel, QueueMatrix, SimulationInvariantError
-from .oracle import stepwise_allocation
 from .solver import SolverConfig, WeightConfig, solve_allocation
-from .stochastic import ArrivalProcess, ChannelModel, ChannelState
+from .stochastic import ArrivalProcess, ChannelModel
+
+#: rounding slack a schedule allows an allocation's entries and node sums
+FEASIBILITY_TOL = 1e-9
 
 
 def next_review_period(total_queue: float, k0: float) -> int:
@@ -54,7 +56,6 @@ class SlotSchedule:
     granted to element p, which chases the quota allocation * period.
     """
 
-    period: int
     active: list[list[int]]
     counts: np.ndarray
     quota: np.ndarray
@@ -64,7 +65,6 @@ def create_schedule(
     allocation: np.ndarray,
     model: NetworkModel,
     period: int,
-    feasibility_tol: float = 1e-9,
 ) -> SlotSchedule:
     """Greedy slot assignment honoring interference and per-element quotas.
 
@@ -79,13 +79,13 @@ def create_schedule(
         raise ValueError(f"allocation must have {ws.size} entries")
     avals = alloc.tolist()
     for v in avals:
-        if not v >= -feasibility_tol:  # written so that NaN fails
+        if not v >= -FEASIBILITY_TOL:  # written so that NaN fails
             raise ValueError("allocation has negative or NaN entries")
     for cid, mlist in enumerate(ws.members):
         total = 0.0
         for m in mlist:
             total += avals[m]
-        if not total <= 1.0 + feasibility_tol:
+        if not total <= 1.0 + FEASIBILITY_TOL:
             raise ValueError(
                 f"allocation infeasible: node {ws.nodes[cid]} incident sum {total:.12f} > 1"
             )
@@ -114,7 +114,7 @@ def create_schedule(
             got += 1
         counts[p] = got
     counts = np.array(counts, dtype=np.int64)
-    return SlotSchedule(period, active, counts, quota)
+    return SlotSchedule(active, counts, quota)
 
 
 def step_slot(
@@ -174,8 +174,6 @@ class RunResult:
     flow_backlog_slot_sum: dict[int, int]
     zero_backlog_scheduled: int
     schedule_trace: Optional[list[tuple[int, int, int, int]]] = None
-    solver_trace: Optional[list[tuple[int, int, float]]] = None
-    total_queue_series: Optional[np.ndarray] = None
 
     @property
     def mean_review_period(self) -> float:
@@ -194,8 +192,6 @@ def run(
     k0: float = 0.01,
     queue_sample_interval: int = 100,
     record_schedule: bool = False,
-    record_solver_trace: bool = False,
-    record_total_series: bool = False,
 ) -> RunResult:
     """Execute the full review/slot loop for ``horizon`` slots.
 
@@ -219,8 +215,6 @@ def run(
     reviews: list[ReviewRecord] = []
     samples: list[tuple] = []
     sched_trace: Optional[list] = [] if record_schedule else None
-    solver_trace: Optional[list] = [] if record_solver_trace else None
-    series = np.empty(horizon, dtype=np.int64) if record_total_series else None
     zero_scheduled = 0
     max_total = 0
     total_sum = 0
@@ -234,13 +228,7 @@ def run(
         period = next_review_period(total, k0)
         state = channel.draw(review_index)
         snap = queues.snapshot()
-        if record_solver_trace:
-            # the stepwise reference returns the same bits and records each step
-            trace_buf: list = []
-            alloc = stepwise_allocation(snap, state, model, solver_cfg, weight_cfg, trace=trace_buf)
-            solver_trace.extend((review_index, step, obj) for step, obj in trace_buf)
-        else:
-            alloc = solve_allocation(snap, state, model, solver_cfg, weight_cfg)
+        alloc = solve_allocation(snap, state, model, solver_cfg, weight_cfg)
         schedule = create_schedule(alloc, model, period)
         zero_scheduled += int(schedule.counts[snap.differentials == 0].sum())
         reviews.append(ReviewRecord(review_index, t, t + period, total))
@@ -264,8 +252,6 @@ def run(
                 flow_sum[f] += b
                 if b > flow_max[f]:
                     flow_max[f] = b
-            if series is not None:
-                series[t] = total_now
             if queue_sample_interval and t % queue_sample_interval == 0:
                 samples.append((t, total_now, tuple(flow_backlog(f) for f in flow_ids)))
         t = stop
@@ -283,6 +269,4 @@ def run(
         flow_backlog_slot_sum=flow_sum,
         zero_backlog_scheduled=zero_scheduled,
         schedule_trace=sched_trace,
-        solver_trace=solver_trace,
-        total_queue_series=series,
     )

@@ -32,13 +32,13 @@ the exact Euclidean projection onto the intersection has a closed form (a
 2x2 KKT system over the two indicators). One private kernel,
 ``_pair_multipliers``, holds that case analysis: it turns the two excesses
 into the amounts to subtract from each constraint's members. The solver's
-step and the public ``project_pair`` both call it. The iterative scheme it
-is the limit of, Boyle-Dykstra corrected alternation, is kept as a test
-reference in ``oracle.alternating_projection_pair``.
+step and the reference ``oracle.project_pair`` both call it. The iterative
+scheme it is the limit of, Boyle-Dykstra corrected alternation, is kept as a
+test reference in ``oracle.alternating_projection_pair``.
 
 Only the steps that can change the iterate are taken; the result is
-bit-identical to taking all cycles * K of them (``oracle.stepwise_allocation``
-does, and records the objective after each):
+bit-identical to taking all cycles * K of them, as the reference
+``oracle.stepwise_allocation`` does:
 
 * A step whose element has g <= 0 changes nothing, so each cycle visits only
   the elements with g > 0, in position order. The arithmetic is the same
@@ -122,51 +122,6 @@ def weight(x: float, xbar: Optional[float], cfg: WeightConfig) -> float:
     return 1.0 + cfg.a1 * sig
 
 
-@dataclass(frozen=True)
-class HalfspaceConstraint:
-    """sum of s over ``members`` <= ``bound``; the normal is the 0/1 indicator."""
-
-    members: tuple[int, ...]
-    bound: float = 1.0
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValueError("constraint needs a non-empty support")
-        if len(set(self.members)) != len(self.members):
-            raise ValueError("constraint support has repeated members")
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def value(self, s: np.ndarray) -> float:
-        return float(np.sum(s[list(self.members)]))
-
-
-def node_constraints(model: NetworkModel) -> dict[int, HalfspaceConstraint]:
-    """One interference constraint per node over its incident elements."""
-    ws = model.solver_workspace()
-    return {
-        node: HalfspaceConstraint(tuple(ws.members[ws.node_constraint[node]]))
-        for node in ws.nodes
-    }
-
-
-def project_onto_halfspace(s: np.ndarray, constraint: HalfspaceConstraint) -> np.ndarray:
-    """Euclidean projection of s onto the halfspace; identity when feasible.
-
-    The excess is spread evenly over the support (excess / support size),
-    landing exactly on the boundary hyperplane.
-    """
-    s = np.asarray(s, dtype=float)
-    excess = constraint.value(s) - constraint.bound
-    if excess <= 0:
-        return s.copy()
-    out = s.copy()
-    out[list(constraint.members)] -= excess / constraint.size
-    return out
-
-
 def _pair_multipliers(
     ea: float, eb: float, na: int, nb: int, overlap: int, same_support: bool, tol: float
 ) -> tuple[float, float]:
@@ -194,30 +149,6 @@ def _pair_multipliers(
     if la < 0.0:
         return 0.0, eb / nb
     return ea / na, 0.0
-
-
-def project_pair(
-    s: np.ndarray,
-    constraint_a: HalfspaceConstraint,
-    constraint_b: HalfspaceConstraint,
-) -> np.ndarray:
-    """Euclidean projection of s onto the intersection of two halfspaces.
-
-    The closed-form limit of the corrected alternating projection scheme
-    (``oracle.alternating_projection_pair``); see ``_pair_multipliers``.
-    """
-    s = np.asarray(s, dtype=float)
-    ea = constraint_a.value(s) - constraint_a.bound
-    eb = constraint_b.value(s) - constraint_b.bound
-    out = s.copy()
-    if ea > TOLERANCE or eb > TOLERANCE:
-        ma, mb = set(constraint_a.members), set(constraint_b.members)
-        la, lb = _pair_multipliers(
-            ea, eb, constraint_a.size, constraint_b.size, len(ma & mb), ma == mb, TOLERANCE
-        )
-        out[list(constraint_a.members)] -= la
-        out[list(constraint_b.members)] -= lb
-    return out
 
 
 @dataclass(frozen=True)
@@ -271,7 +202,7 @@ def solve_allocation(
 
     The result of cycles * K incremental gradient steps: bump one element,
     then project onto the (at most two) violated endpoint-node constraints,
-    with the kernel ``project_pair`` uses. The step does not enforce s >= 0
+    with the kernel ``oracle.project_pair`` uses. The step does not enforce s >= 0
     (see the module docstring), so the raw iterate can go negative.
     Finalization clamps negatives, rescales any node whose incident sum
     exceeds 1, and zeroes every element whose differential backlog was zero
@@ -354,10 +285,6 @@ def _finalize(s: list[float], ws, differentials: np.ndarray) -> np.ndarray:
     out = np.asarray(s, dtype=float)
     out[differentials == 0] = 0.0
     return out
-
-
-def allocation_objective(allocation: np.ndarray, g: np.ndarray) -> float:
-    return float(np.dot(np.asarray(allocation, dtype=float), np.asarray(g, dtype=float)))
 
 
 def suboptimality_bound(alpha: float, n_elements: int, grad_max: float) -> float:

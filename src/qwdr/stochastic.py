@@ -103,8 +103,6 @@ class ChannelModel:
         self.sigma2 = float(sigma2)
         self.truncation_factor = float(truncation_factor)
         self.gain_model = gain_model
-        self.seed = int(seed)
-        self.stream = int(stream)
         self._key = _philox_key(seed, stream)
         # one generator, moved to each draw's counter block (see ``_seek``)
         self._bitgen = np.random.Philox(key=self._key)
@@ -195,8 +193,6 @@ class ArrivalProcess:
             raise ValueError("one rate per (source, flow) required")
         if np.any(self.rates < 0):
             raise ValueError("arrival rates must be >= 0")
-        self.seed = int(seed)
-        self.stream = int(stream)
         self._key = _philox_key(seed, stream)
         self._block_index = -1
         self._block: Optional[np.ndarray] = None

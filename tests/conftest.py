@@ -32,6 +32,7 @@ BAD_FIELDS = [
     ("run", "seed", -1),
     ("run", "channel_seed", -1),
     ("run", "arrival_seed", -1),
+    ("run", "solver_trace", True),  # false is its only value
     ("flows[0]", "rate", math.nan),
     ("flows[0]", "rate", 2**70),  # above numpy's Poisson limit
     ("flows[0]", "delay_target", math.nan),

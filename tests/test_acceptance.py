@@ -7,7 +7,10 @@ the heavyweight simulation fixtures are shared across criteria.
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,26 +20,28 @@ from qwdr import (
     CapacityQuery,
     ChannelModel,
     FlowSpec,
-    HalfspaceConstraint,
-    LinearProgramInstance,
     NetworkModel,
     QueueMatrix,
     SolverConfig,
     WeightConfig,
-    allocation_objective,
     capacity_membership,
     collect_metrics,
     gradient_vector,
-    lp_solve_exact,
     make_paper15_scenario,
     mean_rates_from_channel,
-    node_constraints,
-    project_pair,
-    qp_project_exact,
     run,
     solve_allocation,
     suboptimality_bound,
     weight,
+)
+from qwdr.oracle import (
+    HalfspaceConstraint,
+    LinearProgramInstance,
+    allocation_objective,
+    lp_solve_exact,
+    node_constraints,
+    project_pair,
+    qp_project_exact,
 )
 
 TARGETS = {10: 200.0, 11: 350.0, 6: 70.0}
@@ -79,33 +84,49 @@ def paper15_run():
     return cfg, result, elapsed
 
 
+def _sweep_figures(result):
+    """Per-flow mean delay and ``flow_max_backlog`` of one sweep run."""
+    queues = result.queues
+    return (
+        {f: queues.delay_sum[f] / queues.delivered[f] for f in result.flow_max_backlog},
+        dict(result.flow_max_backlog),
+    )
+
+
+def _sweep_run(seed, row):
+    """One fresh sweep run in a worker process: its figures and its own wall time."""
+    cfg = make_paper15_scenario(seed=seed, row=row)
+    start = time.perf_counter()
+    result = _run_scenario(cfg)
+    elapsed = time.perf_counter() - start
+    return _sweep_figures(result), elapsed
+
+
 @pytest.fixture(scope="module")
 def five_seed_sweep(paper15_run):
     """Unweighted and weighted full runs across 5 seeds (criteria 5 and 6).
 
     Returns per-mode mean delays per flow, the per-run delays, the wall time
-    of the first run (seed 1 unweighted, run here), and each run's
-    ``flow_max_backlog`` per flow. The seed-1 weighted run is ``paper15_run``.
+    of the first run (seed 1 unweighted, timed in its worker), and each run's
+    ``flow_max_backlog`` per flow. The seed-1 weighted run is ``paper15_run``;
+    the nine others run on two worker processes, each timing its own run.
     """
     delays = {"unweighted": {}, "weighted": {}}
     max_backlog = {"unweighted": {}, "weighted": {}}
-    first_run_seconds = None
-    for seed in SEEDS:
-        for mode, row in (("unweighted", 1), ("weighted", 2)):
-            if (seed, row) == (1, 2):
-                result = paper15_run[1]
-            else:
-                cfg = make_paper15_scenario(seed=seed, row=row)
-                start = time.perf_counter()
-                result = _run_scenario(cfg)
-                elapsed = time.perf_counter() - start
-                if first_run_seconds is None:
-                    first_run_seconds = elapsed
-            for flow in result.model.flows:
-                f = flow.flow_id
-                mean = result.queues.delay_sum[f] / result.queues.delivered[f]
-                delays[mode].setdefault(f, []).append(mean)
-                max_backlog[mode].setdefault(f, []).append(result.flow_max_backlog[f])
+    runs = [(seed, mode, row) for seed in SEEDS for mode, row in (("unweighted", 1), ("weighted", 2))]
+    fresh = [(seed, row) for seed, _, row in runs if (seed, row) != (1, 2)]
+    spawn = multiprocessing.get_context("spawn")  # workers import afresh, not fork a busy process
+    with ProcessPoolExecutor(max_workers=min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
+        done = dict(zip(fresh, pool.map(_sweep_run, *zip(*fresh))))
+    first_run_seconds = done[fresh[0]][1]
+    for seed, mode, row in runs:
+        if (seed, row) == (1, 2):
+            means_by_flow, peaks = _sweep_figures(paper15_run[1])
+        else:
+            means_by_flow, peaks = done[(seed, row)][0]
+        for f, mean in means_by_flow.items():
+            delays[mode].setdefault(f, []).append(mean)
+            max_backlog[mode].setdefault(f, []).append(peaks[f])
     means = {
         mode: {f: float(np.mean(vals)) for f, vals in by_flow.items()}
         for mode, by_flow in delays.items()
@@ -349,16 +370,16 @@ def test_criterion_4_stability_inside_and_outside():
     assert labels[2.5][0] == "outside" and labels[2.5][1] < 0
 
     model, channel, arrivals = _tandem_cfg(1.5)
-    stable = run(model, channel, arrivals, horizon=horizon, record_total_series=True)
-    series = stable.total_queue_series
+    stable = run(model, channel, arrivals, horizon=horizon, queue_sample_interval=1)
+    series = np.array([total for _, total, _ in stable.queue_samples])
     mid = float(series[40_000:60_000].mean())
     last = float(series[80_000:].mean())
     drift_ok = abs(last - mid) <= 0.10 * mid
     stable_ok = stable.max_total_queue < 200 and drift_ok
 
     model, channel, arrivals = _tandem_cfg(2.5)
-    unstable = run(model, channel, arrivals, horizon=horizon, record_total_series=True)
-    useries = unstable.total_queue_series
+    unstable = run(model, channel, arrivals, horizon=horizon, queue_sample_interval=1)
+    useries = np.array([total for _, total, _ in unstable.queue_samples])
     final_total = int(useries[-1])
     slope = float(np.polyfit(np.arange(75_000, horizon), useries[75_000:], 1)[0])
     unstable_ok = final_total > 10_000 and slope > 0.3

@@ -79,12 +79,22 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
 
-    @pytest.mark.parametrize("slots", ["0", "-3"])
-    def test_nonpositive_slots_exit_code(self, tmp_path, capsys, slots):
+    # a count flag below 1: run's --slots, and capacity's --samples and --max-sets
+    @pytest.mark.parametrize(
+        "command, flag, value, name",
+        [
+            pytest.param("run", "--slots", "0", "run.horizon_slots", id="0"),
+            pytest.param("run", "--slots", "-3", "run.horizon_slots", id="-3"),
+            pytest.param("capacity", "--samples", "0", "--samples", id="capacity-samples-0"),
+            pytest.param("capacity", "--max-sets", "-1", "--max-sets", id="capacity-max-sets--1"),
+        ],
+    )
+    def test_nonpositive_slots_exit_code(self, tmp_path, capsys, command, flag, value, name):
         path = write_scenario(tmp_path, tandem_doc())
-        assert main(["run", path, "--slots", slots, "--out", str(tmp_path / "out")]) == 2
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, path, flag, value, *extra]) == 2
         err = capsys.readouterr().err
-        assert "run.horizon_slots" in err
+        assert name in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

@@ -4,15 +4,17 @@ import pytest
 from qwdr import (
     CapacityQuery,
     FlowSpec,
-    HalfspaceConstraint,
-    LinearProgramInstance,
     NetworkModel,
     SizeError,
     capacity_membership,
     enumerate_activation_sets,
-    lp_solve_exact,
     make_paper15_scenario,
     mean_rates_from_channel,
+)
+from qwdr.oracle import (
+    HalfspaceConstraint,
+    LinearProgramInstance,
+    lp_solve_exact,
     qp_project_exact,
 )
 from conftest import fixed_channel, tandem_model

@@ -133,8 +133,9 @@ class TestLoadScenario:
         assert loaded.to_json_dict() == cfg.to_json_dict()
 
     def test_every_setting_read_and_echoed(self):
-        # every one of the 19 settings away from its default: a setting that
-        # the read or the echo loop drops comes back as its default
+        # 18 of the 19 settings away from their defaults, and solver_trace at
+        # false, the only value it takes: a setting that the read or the echo
+        # loop drops comes back as its default
         settings = {
             "channel": {"sigma2": 0.5, "gain_model": "amplitude", "gain_scale": 3.0, "truncation_factor": 4.0},
             "solver": {"alpha": 2e-4, "cycles": 7, "n_rep": 3, "tolerance": 1e-7},
@@ -148,7 +149,7 @@ class TestLoadScenario:
                 "mode": "unweighted",
                 "queue_sample_interval": 9,
                 "schedule_trace": True,
-                "solver_trace": True,
+                "solver_trace": False,
             },
         }
         doc = {**minimal_doc(), **settings}

@@ -245,14 +245,3 @@ class TestRun:
         res = run(model, channel, arrivals, horizon=200, record_schedule=True)
         assert res.schedule_trace
         assert all(len(row) == 4 for row in res.schedule_trace)
-
-    def test_solver_trace_recorded(self):
-        model = single_link_model(1.0)
-        channel = fixed_channel(model, 2.2)
-        arrivals = ArrivalProcess([(1, 2)], [1.0], seed=2)
-        res = run(model, channel, arrivals, horizon=50, record_solver_trace=True)
-        assert res.solver_trace
-        # review 0 sees empty queues and solves nothing; later reviews do
-        review_ids = {row[0] for row in res.solver_trace}
-        assert 0 not in review_ids and len(review_ids) > 10
-        assert all(len(row) == 3 for row in res.solver_trace)

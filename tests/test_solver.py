@@ -8,25 +8,27 @@ from hypothesis import strategies as st
 from qwdr import (
     ChannelModel,
     FlowSpec,
-    HalfspaceConstraint,
-    LinearProgramInstance,
     NetworkModel,
     QueueSnapshot,
     SolverConfig,
     WeightConfig,
+    gradient_vector,
+    solve_allocation,
+    suboptimality_bound,
+    weight,
+)
+from qwdr.oracle import (
+    HalfspaceConstraint,
+    LinearProgramInstance,
     allocation_objective,
     alternating_projection_pair,
-    gradient_vector,
     lp_solve_exact,
     node_constraints,
     project_onto_halfspace,
     project_pair,
     qp_project_exact,
-    solve_allocation,
-    suboptimality_bound,
-    weight,
+    stepwise_allocation,
 )
-from qwdr.oracle import stepwise_allocation
 from qwdr.solver import TOLERANCE
 from conftest import fixed_channel, fork_model, queues_with, tandem_model
 
@@ -281,18 +283,6 @@ class TestSolveAllocation:
             for con in cons.values():
                 assert con.value(alloc) <= 1.0 + 1e-9
             assert np.all(alloc[snap.differentials == 0] == 0.0)
-
-    def test_trace_records_objective_steps(self):
-        model = tandem_model()
-        queues = queues_with(model, {(1, 3): 10, (2, 3): 2})
-        snap = queues.snapshot()
-        channel = fixed_channel(model, 2.0).draw(0)
-        trace = []
-        stepwise_allocation(snap, channel, model, SolverConfig(cycles=3), trace=trace)
-        assert len(trace) == 3 * 2
-        steps = [s for s, _ in trace]
-        assert steps == sorted(steps)
-        assert all(obj >= 0 for _, obj in trace)
 
 
 def _small_topology(kind, size):
