@@ -89,73 +89,68 @@ def build_interference_sets(links: Iterable[Link]) -> dict[int, frozenset[Link]]
 
 
 class LinkFlowIndex:
-    """Bijection between admissible (i, j, f) triples and positions 0..K-1.
+    """The element table: every link-flow element at its position 0..K-1.
 
-    Triples are the consecutive route hops of every flow, ordered
+    Elements are the consecutive route hops of every flow, ordered
     lexicographically by (i, j, f): ``triples[p]`` is the element at
-    position p and ``positions`` maps each triple back to its position.
+    position p and ``positions`` maps each triple back to p. Built once from
+    the flows, the table also holds what solver, scheduler, slot engine and
+    oracle read by position:
+
+    * one interference constraint per node with an incident element, in node
+      order: ``nodes[c]``, ``node_constraint[node]``, ``members[c]`` (its
+      elements) and ``sizes[c]``;
+    * per element: the constraints of its two endpoints (``elem_ca``,
+      ``elem_cb``), the size of their supports' intersection
+      (``elem_overlap``), whether the supports coincide (``elem_same``), and
+      its flow's offset in ``flow_ids`` (``elem_flow``);
+    * the queues: queue (i, f) sits at the position ``queue[(i, f)]`` of the
+      element that serves it; ``down[p]`` is the queue element p feeds
+      (``size`` at the destination), and ``ledger`` pairs each queue with its
+      upstream element (``size`` at the source), in flow and route order.
     """
 
     def __init__(self, flows: Iterable[FlowSpec]):
-        triples: list[Triple] = []
-        seen: set[Triple] = set()
-        for flow in flows:
-            for (i, j) in flow.hops:
-                t = (i, j, flow.flow_id)
-                if t in seen:
-                    raise ValueError(f"duplicate link-flow element {t}")
-                seen.add(t)
-                triples.append(t)
-        triples.sort()
+        flows = tuple(flows)
+        triples = sorted((i, j, flow.flow_id) for flow in flows for i, j in flow.hops)
+        for t, u in zip(triples, triples[1:]):
+            if t == u:
+                raise ValueError(f"duplicate link-flow element {t}")
         self.triples: tuple[Triple, ...] = tuple(triples)
+        self.size = size = len(triples)
         self.positions: dict[Triple, int] = {t: p for p, t in enumerate(triples)}
+        self.queue: dict[tuple[int, int], int] = {(i, f): p for p, (i, j, f) in enumerate(triples)}
+        members: dict[int, list[int]] = {}
+        for p, (i, j, f) in enumerate(triples):
+            members.setdefault(i, []).append(p)
+            members.setdefault(j, []).append(p)
+        self.nodes = sorted(members)
+        self.node_constraint = {n: c for c, n in enumerate(self.nodes)}
+        self.members: list[list[int]] = [members[n] for n in self.nodes]
+        self.sizes = [len(m) for m in self.members]
+        self.elem_ca = [self.node_constraint[i] for i, j, f in triples]
+        self.elem_cb = [self.node_constraint[j] for i, j, f in triples]
+        self.elem_overlap = [len(set(members[i]) & set(members[j])) for i, j, f in triples]
+        self.elem_same = [members[i] == members[j] for i, j, f in triples]
+        self.flow_ids = [flow.flow_id for flow in flows]
+        flow_offset = {f: n for n, f in enumerate(self.flow_ids)}
+        self.elem_flow = [flow_offset[f] for i, j, f in triples]
+        self.down = [size if j == f else self.queue[(j, f)] for i, j, f in triples]
+        self.ledger: list[tuple[int, int]] = []
+        for flow in flows:
+            up = size
+            for node in flow.route[:-1]:
+                q = self.queue[(node, flow.flow_id)]
+                self.ledger.append((q, up))
+                up = q
+        self._link_map: Optional[dict] = None
+        self._elem_link: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return self.size
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.positions
-
-
-class _SolverWorkspace:
-    """Per-model precomputation shared by the solver and the scheduler.
-
-    One sum-constraint per node over all incident link-flow elements; each
-    element belongs to exactly the two constraints of its endpoint nodes.
-    """
-
-    def __init__(self, model: "NetworkModel"):
-        index = model.link_flow_index
-        self.size = len(index)
-        members: dict[int, list[int]] = {}
-        for pos, (i, j, f) in enumerate(index.triples):
-            members.setdefault(i, []).append(pos)
-            members.setdefault(j, []).append(pos)
-        self.nodes = sorted(members)  # nodes with at least one incident element
-        self.node_constraint = {n: cid for cid, n in enumerate(self.nodes)}
-        self.members: list[list[int]] = [members[n] for n in self.nodes]
-        self.sizes = [len(m) for m in self.members]
-        # element -> its two endpoint constraints, their support overlap, and
-        # whether the two supports coincide (degenerate pair)
-        self.elem_ca: list[int] = []
-        self.elem_cb: list[int] = []
-        self.elem_overlap: list[int] = []
-        self.elem_same: list[bool] = []
-        for (i, j, f) in index.triples:
-            ca = self.node_constraint[i]
-            cb = self.node_constraint[j]
-            sa, sb = set(self.members[ca]), set(self.members[cb])
-            self.elem_ca.append(ca)
-            self.elem_cb.append(cb)
-            self.elem_overlap.append(len(sa & sb))
-            self.elem_same.append(sa == sb)
-        # element -> offset of its flow in ``flow_ids`` (the model's flow order)
-        self.flow_ids = [fl.flow_id for fl in model.flows]
-        flow_offset = {f: n for n, f in enumerate(self.flow_ids)}
-        self.elem_flow = [flow_offset[f] for (i, j, f) in index.triples]
-        self._triples = index.triples
-        self._link_map: Optional[dict] = None
-        self._elem_link: list[int] = []
 
     def link_offsets(self, positions: dict) -> list[int]:
         """Each element's link offset under a channel's ``positions`` map.
@@ -164,13 +159,13 @@ class _SolverWorkspace:
         list is built once per channel and kept while the same map comes in.
         """
         if positions is not self._link_map:
-            self._elem_link = [positions[(i, j)] for (i, j, f) in self._triples]
+            self._elem_link = [positions[(i, j)] for (i, j, f) in self.triples]
             self._link_map = positions
         return self._elem_link
 
 
 class NetworkModel:
-    """Validated static description: graph, flows and element index."""
+    """Validated static description: graph, flows and element table."""
 
     def __init__(self, nodes: Iterable[int], links: Iterable[Link], flows: Iterable[FlowSpec]):
         self.nodes: tuple[int, ...] = tuple(sorted(set(nodes)))
@@ -191,12 +186,10 @@ class NetworkModel:
                 if hop not in link_set:
                     raise ValueError(f"flow {flow.flow_id}: route hop {hop} is not a link")
         self.link_flow_index = LinkFlowIndex(self.flows)
-        self._workspace: Optional[_SolverWorkspace] = None
 
-    def solver_workspace(self) -> _SolverWorkspace:
-        if self._workspace is None:
-            self._workspace = _SolverWorkspace(self)
-        return self._workspace
+    def solver_workspace(self) -> LinkFlowIndex:
+        """The element table, ``link_flow_index``, under its former name."""
+        return self.link_flow_index
 
 
 @dataclass
@@ -209,7 +202,6 @@ class QueueSnapshot:
 
     differentials: np.ndarray
     flow_backlogs: dict[int, int]
-    total: int
 
 
 class SimulationInvariantError(AssertionError):
@@ -227,8 +219,9 @@ class QueueMatrix:
     reaching its destination departs immediately and its end-to-end delay is
     recorded.
 
-    Queues share the element index: queue (i, f) sits at the position of the
-    one element that serves it, (i, next hop, f). Each queue keeps its length
+    Queues take their positions and wiring from the model's element table
+    (``LinkFlowIndex``): queue (i, f) sits at the position of the one element
+    that serves it, (i, next hop, f). Each queue keeps its length
     in a counter that the batch operations update by the packets they move;
     cumulative arrival (per queue) and service (per element) counters back
     the exact queue-balance check.
@@ -237,29 +230,18 @@ class QueueMatrix:
     def __init__(self, model: NetworkModel):
         index = model.link_flow_index
         self.triples = index.triples
-        size = len(self.triples)
+        size = index.size
         self._size = size
         self._pos = index.positions
-        self._queue: dict[tuple[int, int], int] = {
-            (i, f): p for p, (i, j, f) in enumerate(self.triples)
-        }
-        # downstream queue of each element; ``size`` stands for the destination
-        self._down = [size if j == f else self._queue[(j, f)] for (i, j, f) in self.triples]
+        self._queue = index.queue
+        self._down = index.down
+        self._ledger = index.ledger
         self._fifo: list[deque] = [deque() for _ in range(size)]
         # the spare last entry is the destination's length and the served
         # count of the missing upstream element at a flow source: both stay 0
         self._len = [0] * (size + 1)
         self._served = [0] * (size + 1)
         self._arrived = [0] * size
-        # ledger wiring: each queue with its upstream element on the fixed
-        # route (``size`` at the source) and its FIFO, in flow and route order
-        self._balance: list[tuple[int, int, deque]] = []
-        for flow in model.flows:
-            up = size
-            for node in flow.route[:-1]:
-                q = self._queue[(node, flow.flow_id)]
-                self._balance.append((q, up, self._fifo[q]))
-                up = q
         self._flow_total: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delivered: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_sum: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
@@ -383,7 +365,7 @@ class QueueMatrix:
         length = self._len
         dif = np.array([length[p] - length[q] for p, q in enumerate(self._down)], dtype=np.int64)
         np.maximum(dif, 0, out=dif)
-        return QueueSnapshot(dif, dict(self._flow_total), self._total)
+        return QueueSnapshot(dif, dict(self._flow_total))
 
     def verify_balance(self, slot: int) -> None:
         """Exact queue-balance identity, plus global packet conservation.
@@ -392,8 +374,9 @@ class QueueMatrix:
         upstream element served minus what its own element served, and be
         zero exactly when its FIFO holds no batch.
         """
-        length, arrived, served = self._len, self._arrived, self._served
-        for q, up, fifo in self._balance:
+        length, arrived, served, fifos = self._len, self._arrived, self._served, self._fifo
+        for q, up in self._ledger:
+            fifo = fifos[q]
             have = length[q]
             expect = arrived[q] + served[up] - served[q]
             if have != expect or (have == 0) != (not fifo):

@@ -53,11 +53,8 @@ class HalfspaceConstraint:
 
 def node_constraints(model: NetworkModel) -> dict[int, HalfspaceConstraint]:
     """One interference constraint per node over its incident elements."""
-    ws = model.solver_workspace()
-    return {
-        node: HalfspaceConstraint(tuple(ws.members[ws.node_constraint[node]]))
-        for node in ws.nodes
-    }
+    index = model.link_flow_index
+    return {node: HalfspaceConstraint(tuple(m)) for node, m in zip(index.nodes, index.members)}
 
 
 def project_onto_halfspace(s: np.ndarray, constraint: HalfspaceConstraint) -> np.ndarray:
@@ -269,8 +266,8 @@ def stepwise_allocation(
     """
     cfg = solver_cfg or SolverConfig()
     wcfg = weight_cfg or WeightConfig()
-    ws = model.solver_workspace()
-    K = ws.size
+    index = model.link_flow_index
+    K = index.size
     if K == 0:
         return np.zeros(0)
     w = {
@@ -281,17 +278,17 @@ def stepwise_allocation(
     rates = channel.rates.tolist()
     glist = [
         w[f] * float(snapshot.differentials[pos]) * rates[link_pos[(i, j)]]
-        for pos, (i, j, f) in enumerate(model.link_flow_index.triples)
+        for pos, (i, j, f) in enumerate(index.triples)
     ]
     if not any(gk > 0 for gk in glist):
         return np.zeros(K)
 
     s = [0.0] * K
-    consum = [0.0] * len(ws.members)
-    members = ws.members
-    sizes = ws.sizes
-    eca, ecb = ws.elem_ca, ws.elem_cb
-    eover, esame = ws.elem_overlap, ws.elem_same
+    consum = [0.0] * len(index.members)
+    members = index.members
+    sizes = index.sizes
+    eca, ecb = index.elem_ca, index.elem_cb
+    eover, esame = index.elem_overlap, index.elem_same
     alpha = cfg.alpha
     tol = cfg.tolerance
     pair = _pair_multipliers
@@ -321,7 +318,7 @@ def stepwise_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-    return _finalize(s, ws, snapshot.differentials)
+    return _finalize(s, members, snapshot.differentials)
 
 
 def enumerate_activation_sets(model: NetworkModel, max_sets: int = 200_000):
@@ -331,15 +328,10 @@ def enumerate_activation_sets(model: NetworkModel, max_sets: int = 200_000):
     activate at most one flow per link, which the node rule already implies.
     """
     index = model.link_flow_index
-    K = len(index)
-    conflict = [0] * K
-    for a in range(K):
-        ia, ja, _ = index.triples[a]
-        for b in range(a + 1, K):
-            ib, jb, _ = index.triples[b]
-            if len({ia, ja} & {ib, jb}) > 0:
-                conflict[a] |= 1 << b
-                conflict[b] |= 1 << a
+    K = index.size
+    # an element conflicts with every member of its two endpoint constraints
+    node_mask = [sum(1 << m for m in mlist) for mlist in index.members]
+    conflict = [node_mask[a] | node_mask[b] for a, b in zip(index.elem_ca, index.elem_cb)]
     sets: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int], start: int, blocked: int):
@@ -412,22 +404,16 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
     index = model.link_flow_index
     sets = enumerate_activation_sets(model, query.max_sets)
     n_sets = len(sets)
-    # rows: one per (node, flow) with the node on the flow's route, node != dest
+    # rows: one per queue (node, flow), in ledger order; its own element's
+    # service helps it and its upstream element's service loads it
     rows: list[tuple[int, int]] = []
-    for flow in model.flows:
-        for node in flow.route[:-1]:
-            rows.append((node, flow.flow_id))
-    # element -> (net contribution per row) assembled per activation set
-    elem_coeff = np.zeros((len(rows), len(index)))
-    for r, (node, f) in enumerate(rows):
-        for pos, (i, j, ef) in enumerate(index.triples):
-            if ef != f:
-                continue
-            mu = query.mean_rates[(i, j)]
-            if i == node:
-                elem_coeff[r, pos] -= mu  # outgoing service helps
-            elif j == node:
-                elem_coeff[r, pos] += mu  # incoming traffic loads the node
+    elem_coeff = np.zeros((len(index.ledger), index.size))
+    for r, (q, up) in enumerate(index.ledger):
+        i, j, f = index.triples[q]
+        rows.append((i, f))
+        elem_coeff[r, q] -= query.mean_rates[(i, j)]
+        if up != index.size:
+            elem_coeff[r, up] += query.mean_rates[index.triples[up][:2]]
     A_ub = np.zeros((len(rows), n_sets + 1))
     for col, act in enumerate(sets):
         if act:
@@ -447,7 +433,7 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
         raise RuntimeError(f"capacity LP failed: {res.message}")
     eps = float(-res.fun)
     x = res.x[:n_sets]
-    schedule = np.zeros(len(index))
+    schedule = np.zeros(index.size)
     for col, act in enumerate(sets):
         for pos in act:
             schedule[pos] += x[col]
@@ -461,5 +447,5 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
         label = "outside"
     else:
         label = "boundary-band"
-    allocation = {index.triples[pos]: float(schedule[pos]) for pos in range(len(index))}
+    allocation = {t: float(schedule[pos]) for pos, t in enumerate(index.triples)}
     return CapacityResult(eps, label, slack, n_sets, allocation)

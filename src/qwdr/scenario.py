@@ -15,7 +15,7 @@ from typing import Optional
 
 from .network import POISSON_LAM_MAX, FlowSpec, Link, NetworkModel
 from .solver import SolverConfig, WeightConfig
-from .stochastic import ARRIVAL_STREAM, CHANNEL_STREAM, ArrivalProcess, ChannelModel
+from .stochastic import ArrivalProcess, ChannelModel
 
 
 class ConfigError(ValueError):
@@ -130,14 +130,13 @@ class ScenarioConfig:
             truncation_factor=self.truncation_factor,
             gain_model=self.gain_model,
             seed=self.channel_seed,
-            stream=CHANNEL_STREAM,
             fixed_rates=self.fixed_rates,
         )
 
     def build_arrivals(self) -> ArrivalProcess:
         sources = [(fl.source, fl.flow_id) for fl in self.flows]
         rates = [fl.arrival_rate for fl in self.flows]
-        return ArrivalProcess(sources, rates, seed=self.arrival_seed, stream=ARRIVAL_STREAM)
+        return ArrivalProcess(sources, rates, seed=self.arrival_seed)
 
     def build_weight_config(self) -> WeightConfig:
         a1 = 0.0 if self.mode == "unweighted" else self.a1
@@ -426,13 +425,7 @@ def paper15_coordinates() -> dict[int, tuple[float, float]]:
     }
 
 
-def make_paper15_scenario(
-    seed: int = 1,
-    row: int = 2,
-    mode: Optional[str] = None,
-    gain_scale: float = _P15_GAIN_SCALE,
-    horizon: int = 100_000,
-) -> ScenarioConfig:
+def make_paper15_scenario(seed: int = 1, row: int = 2, horizon: int = 100_000) -> ScenarioConfig:
     """The bundled fifteen-node, seven-flow scenario with preset delay targets.
 
     ``row`` selects a delay-target preset (1 = unweighted baseline). The node
@@ -453,17 +446,15 @@ def make_paper15_scenario(
         )
         for fid, src, route, rate in _P15_FLOWS
     ]
-    if mode is None:
-        mode = "unweighted" if row == 1 else "qwdr"
     return ScenarioConfig(
         name=f"paper15-row{row}",
         coordinates=paper15_coordinates(),
         links=links,
         flows=flows,
-        gain_scale=gain_scale,
+        gain_scale=_P15_GAIN_SCALE,
         horizon_slots=horizon,
         seed=seed,
-        mode=mode,
+        mode="unweighted" if row == 1 else "qwdr",
         metadata={
             "preset": "paper15",
             "row": row,

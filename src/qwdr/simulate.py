@@ -73,29 +73,29 @@ def create_schedule(
     either of its endpoint nodes in t and its accumulated slot count is still
     below allocation * period. Infeasible allocations are rejected up front.
     """
-    ws = model.solver_workspace()
+    index = model.link_flow_index
     alloc = np.asarray(allocation, dtype=float)
-    if alloc.shape != (ws.size,):
-        raise ValueError(f"allocation must have {ws.size} entries")
+    if alloc.shape != (index.size,):
+        raise ValueError(f"allocation must have {index.size} entries")
     avals = alloc.tolist()
     for v in avals:
         if not v >= -FEASIBILITY_TOL:  # written so that NaN fails
             raise ValueError("allocation has negative or NaN entries")
-    for cid, mlist in enumerate(ws.members):
+    for cid, mlist in enumerate(index.members):
         total = 0.0
         for m in mlist:
             total += avals[m]
         if not total <= 1.0 + FEASIBILITY_TOL:
             raise ValueError(
-                f"allocation infeasible: node {ws.nodes[cid]} incident sum {total:.12f} > 1"
+                f"allocation infeasible: node {index.nodes[cid]} incident sum {total:.12f} > 1"
             )
     if period < 1:
         raise ValueError("period must be >= 1")
     # one busy mask per node with elements, indexed like its constraint
-    busy = [bytearray(period) for _ in ws.nodes]
-    eca, ecb = ws.elem_ca, ws.elem_cb
+    busy = [bytearray(period) for _ in index.nodes]
+    eca, ecb = index.elem_ca, index.elem_cb
     active: list[list[int]] = [[] for _ in range(period)]
-    counts = [0] * ws.size
+    counts = [0] * index.size
     quota = alloc * period
     for p, q in enumerate(quota.tolist()):
         if q <= 0.0:
@@ -206,9 +206,10 @@ def run(
     solver_cfg = solver_cfg or SolverConfig()
     weight_cfg = weight_cfg or WeightConfig()
     queues = QueueMatrix(model)
-    triples = queues.triples
-    flow_ids = [fl.flow_id for fl in model.flows]
-    link_pos = model.solver_workspace().link_offsets(channel.positions)
+    index = model.link_flow_index
+    triples = index.triples
+    flow_ids = index.flow_ids
+    link_pos = index.link_offsets(channel.positions)
     source_list = list(arrivals.sources)
     flow_backlog = queues.flow_backlog
 

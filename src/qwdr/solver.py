@@ -96,8 +96,8 @@ class WeightConfig:
         if self.a2 <= 0:
             raise ValueError("a2 must be > 0")
         for f, q in self.thresholds.items():
-            if q is not None and q <= 0:
-                raise ValueError(f"flow {f}: queue threshold must be > 0")
+            if q is not None and not q >= 0:  # written so that NaN fails
+                raise ValueError(f"flow {f}: queue threshold must be >= 0")
 
     @classmethod
     def from_flows(cls, flows, a1: float = 0.2, a2: float = 2.0) -> "WeightConfig":
@@ -178,15 +178,15 @@ def gradient_vector(
 
 def _gradients(snapshot, channel, model, weight_cfg) -> list[float]:
     """``gradient_vector`` as a plain list, read by position throughout."""
-    ws = model.solver_workspace()
+    index = model.link_flow_index
     backlogs = snapshot.flow_backlogs
     thresholds = weight_cfg.thresholds
-    w = [weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg) for f in ws.flow_ids]
+    w = [weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg) for f in index.flow_ids]
     rates = channel.rates.tolist()
     return [
         w[fp] * d * rates[link]
         for fp, d, link in zip(
-            ws.elem_flow, snapshot.differentials.tolist(), ws.link_offsets(channel.positions)
+            index.elem_flow, snapshot.differentials.tolist(), index.link_offsets(channel.positions)
         )
     ]
 
@@ -213,14 +213,14 @@ def solve_allocation(
     """
     cfg = solver_cfg or SolverConfig()
     wcfg = weight_cfg or WeightConfig()
-    ws = model.solver_workspace()
-    K = ws.size
+    index = model.link_flow_index
+    K = index.size
     if K == 0:
         return np.zeros(0)
     glist = _gradients(snapshot, channel, model, wcfg)
     alpha = cfg.alpha
     cycles = cfg.cycles
-    eca, ecb = ws.elem_ca, ws.elem_cb
+    eca, ecb = index.elem_ca, index.elem_cb
     # the steps that move the iterate, in step order: element, its two
     # constraints and its bump
     steps = [(k, eca[k], ecb[k], alpha * gk) for k, gk in enumerate(glist) if gk > 0.0]
@@ -228,7 +228,7 @@ def solve_allocation(
         return np.zeros(K)
 
     s = [0.0] * K
-    members = ws.members
+    members = index.members
     per_cycle = [0.0] * len(members)  # what one cycle adds to each node's sum
     for k, a, b, d in steps:
         per_cycle[a] += d
@@ -240,13 +240,13 @@ def solve_allocation(
             for _ in range(cycles):
                 x += d
             s[k] = x
-        return _finalize(s, ws, snapshot.differentials)
+        return _finalize(s, members, snapshot.differentials)
 
     # flat state with incrementally maintained constraint sums; every element
     # belongs to exactly two constraints, so one coordinate change updates two
     consum = [0.0] * len(members)
-    sizes = ws.sizes
-    eover, esame = ws.elem_overlap, ws.elem_same
+    sizes = index.sizes
+    eover, esame = index.elem_overlap, index.elem_same
     tol = cfg.tolerance
     pair = _pair_multipliers
 
@@ -269,13 +269,13 @@ def solve_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-    return _finalize(s, ws, snapshot.differentials)
+    return _finalize(s, members, snapshot.differentials)
 
 
-def _finalize(s: list[float], ws, differentials: np.ndarray) -> np.ndarray:
+def _finalize(s: list[float], members: list[list[int]], differentials: np.ndarray) -> np.ndarray:
     """Clamp negatives, rescale each overfull node in turn, zero idle elements."""
     s = [0.0 if x < 0.0 else x for x in s]
-    for mlist in ws.members:  # sequential per-node rescale; shrinking only
+    for mlist in members:  # sequential per-node rescale; shrinking only
         total = 0.0
         for m in mlist:
             total += s[m]

@@ -73,8 +73,9 @@ class ChannelModel:
       * ``"amplitude"`` -- the gain itself is Rayleigh with the given mean;
       * ``"fixed"``     -- degenerate channel, gains pinned at their means.
 
-    Gains are capped at ``truncation_factor`` times the link mean so that
-    rates stay bounded. ``fixed_rates`` pins the rate map directly (the gain
+    Fading gains are capped at ``truncation_factor`` times the link mean so
+    that rates stay bounded; a fixed channel's rates are computed once, at
+    construction. ``fixed_rates`` pins the rate map directly (the gain
     is back-computed), which keeps integer floors exact in tests.
     """
 
@@ -86,7 +87,6 @@ class ChannelModel:
         truncation_factor: float = 10.0,
         gain_model: str = "power",
         seed: int = 0,
-        stream: int = CHANNEL_STREAM,
         fixed_rates: Optional[dict[Link, float]] = None,
     ):
         if gain_model not in ("power", "amplitude", "fixed"):
@@ -103,7 +103,7 @@ class ChannelModel:
         self.sigma2 = float(sigma2)
         self.truncation_factor = float(truncation_factor)
         self.gain_model = gain_model
-        self._key = _philox_key(seed, stream)
+        self._key = _philox_key(seed, CHANNEL_STREAM)
         # one generator, moved to each draw's counter block (see ``_seek``)
         self._bitgen = np.random.Philox(key=self._key)
         self._rng = np.random.Generator(self._bitgen)
@@ -115,7 +115,7 @@ class ChannelModel:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._fixed_rates = None
+        self._fixed_rates: Optional[np.ndarray] = None  # every draw's rates on a fixed channel
         if fixed_rates is not None:
             self._fixed_rates = np.array([float(fixed_rates[l]) for l in self.links])
             if not np.all(self._fixed_rates >= 0):
@@ -128,15 +128,18 @@ class ChannelModel:
             self.mean_gain = np.array([float(mean_gain[l]) for l in self.links])
             if not np.all(self.mean_gain >= 0):
                 raise ValueError("mean gains must be >= 0")
-        # an overflow gives inf: a fading link's is rejected, a fixed-rate link's is never read
+        # an overflow gives inf: a fading link's cap or a fixed link's rate is
+        # rejected; a fixed channel never applies its cap
         with np.errstate(over="ignore"):
             self.gain_cap = self.mean_gain * self.truncation_factor
+            if self._fixed_rates is None and gain_model == "fixed":
+                self._fixed_rates = achievable_rate(self.mean_gain, self.sigma2)
             if not np.isfinite(self.max_rate):
-                raise ValueError("link rates are unbounded: truncated gain / sigma2 overflows")
+                raise ValueError("link rates are unbounded: gain / sigma2 overflows")
 
     @property
     def max_rate(self) -> float:
-        """Upper bound on any achievable rate under truncation."""
+        """The largest rate any draw can give."""
         if self._fixed_rates is not None:
             return float(self._fixed_rates.max(initial=0.0))
         if len(self.links) == 0:
@@ -162,11 +165,8 @@ class ChannelModel:
         """Fresh i.i.d. gains for every link; same index -> same state."""
         if review_index < 0:
             raise ValueError("review index must be >= 0")
-        if self.gain_model == "fixed":
-            gains = self.mean_gain.copy()
-            if self._fixed_rates is not None:
-                return ChannelState(self.links, gains, self._fixed_rates.copy(), self.positions)
-            return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2), self.positions)
+        if self._fixed_rates is not None:
+            return ChannelState(self.links, self.mean_gain.copy(), self._fixed_rates.copy(), self.positions)
         rng = self._seek(review_index)
         if self.gain_model == "power":
             gains = rng.exponential(self.mean_gain)
@@ -186,14 +186,14 @@ class ArrivalProcess:
 
     _BLOCK = 512
 
-    def __init__(self, sources, rates, seed: int = 0, stream: int = ARRIVAL_STREAM):
+    def __init__(self, sources, rates, seed: int = 0):
         self.sources: tuple[tuple[int, int], ...] = tuple((int(i), int(f)) for i, f in sources)
         self.rates = np.asarray(rates, dtype=float)
         if self.rates.shape != (len(self.sources),):
             raise ValueError("one rate per (source, flow) required")
         if np.any(self.rates < 0):
             raise ValueError("arrival rates must be >= 0")
-        self._key = _philox_key(seed, stream)
+        self._key = _philox_key(seed, ARRIVAL_STREAM)
         self._block_index = -1
         self._block: Optional[np.ndarray] = None
 

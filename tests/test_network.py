@@ -64,6 +64,24 @@ class TestLinkFlowIndex:
         with pytest.raises(KeyError):
             index.positions[(3, 1, 3)]
 
+    def test_duplicate_element_rejected(self):
+        # two flows under one id sharing a hop; NetworkModel refuses the ids first
+        flows = [
+            FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5),
+            FlowSpec(flow_id=3, source=4, route=(4, 2, 3), arrival_rate=0.5),
+        ]
+        with pytest.raises(ValueError, match=r"duplicate link-flow element \(2, 3, 3\)"):
+            LinkFlowIndex(flows)
+
+    def test_queue_wiring_of_a_tandem(self):
+        index = LinkFlowIndex([FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5)])
+        assert index.queue == {(1, 3): 0, (2, 3): 1}
+        assert index.down == [1, 2]  # 2 = size stands for the destination
+        assert index.ledger == [(0, 2), (1, 0)]  # 2 = size stands for the source
+        assert index.members == [[0], [0, 1], [1]]
+        assert index.elem_overlap == [1, 1]
+        assert index.elem_same == [False, False]
+
 
 class TestFlowSpec:
     def test_route_must_be_simple_path(self):
@@ -152,6 +170,5 @@ class TestQueueMatrix:
         queues.add_arrivals(1, 3, 5, slot=0)
         queues.add_arrivals(2, 3, 1, slot=0)
         snap = queues.snapshot()
-        assert snap.total == 6
         assert snap.flow_backlogs == {3: 6}
         assert list(snap.differentials) == [4, 1]

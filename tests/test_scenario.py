@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, scenario_from_dict
+from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, run, scenario_from_dict
 from conftest import BAD_FIELDS, set_field
 
 
@@ -77,6 +77,26 @@ class TestLoadScenario:
         doc["channel"] = {"gain_scale": 1e307}  # mean gain 4e307 at d = 0.5
         with pytest.raises(ConfigError, match="unbounded"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("mode", ["qwdr", "unweighted"])
+    def test_idle_flow_with_delay_target_runs(self, mode):
+        # rate 0 x delay target gives a backlog threshold of 0, which weights accept
+        doc = minimal_doc()
+        doc["nodes"]["3"] = [1.0, 0.0]
+        doc["links"] = [[1, 2], [2, 3]]
+        doc["flows"].append({"id": 3, "route": [1, 2, 3], "source": 1, "rate": 0.0, "delay_target": 50})
+        doc["run"] = {"mode": mode}
+        cfg = scenario_from_dict(doc)
+        result = run(
+            cfg.build_model(),
+            cfg.build_channel(),
+            cfg.build_arrivals(),
+            horizon=5,
+            solver_cfg=cfg.build_solver_config(),
+            weight_cfg=cfg.build_weight_config(),
+        )
+        assert result.queues.delivered[3] == 0
+        assert result.queues.injected == result.queues.delivered_total + result.queues.total()
 
     def test_solver_and_weight_limits_accepted(self):
         doc = minimal_doc()

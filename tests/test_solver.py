@@ -407,7 +407,7 @@ def stepwise_instances(draw):
     # negative and zero differentials give g <= 0 elements
     dif = np.array(draw(st.lists(st.integers(-3, 30), min_size=K, max_size=K)), dtype=np.int64)
     backlogs = {fl.flow_id: draw(st.integers(0, 60)) for fl in model.flows}
-    snap = QueueSnapshot(dif, backlogs, sum(backlogs.values()))
+    snap = QueueSnapshot(dif, backlogs)
     thresholds = {fl.flow_id: draw(st.floats(1.0, 40.0)) for fl in model.flows if draw(st.booleans())}
     wcfg = WeightConfig(a1=draw(st.sampled_from([0.0, 0.2])), a2=2.0, thresholds=thresholds)
     cycles = draw(st.integers(1, 40))
@@ -438,7 +438,7 @@ class TestSolveMatchesStepwise:
         # a star puts every element on the hub: the hub's sum sets the limit
         model = _small_topology("star", 4)
         channel = fixed_channel(model, 1.9).draw(0)
-        snap = QueueSnapshot(np.array([7, 0, 3, 12]), {1: 7, 2: 0, 3: 3, 4: 12}, 22)
+        snap = QueueSnapshot(np.array([7, 0, 3, 12]), {1: 7, 2: 0, 3: 3, 4: 12})
         g = gradient_vector(snap, channel, model, WeightConfig())
         for cycles in (1, 15, 40):
             cfg = SolverConfig(alpha=fraction / (cycles * g.sum()), cycles=cycles, tolerance=0.0)
