@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwdr import ArrivalProcess, ChannelModel, achievable_rate
-from qwdr.stochastic import _rng_at
+from qwdr.stochastic import ARRIVAL_STREAM, CHANNEL_STREAM, _philox_key, _rng_at
 
 
 class TestAchievableRate:
@@ -38,6 +38,12 @@ class TestChannelModel:
         earlier = ch.draw(2).gain((1, 2))
         assert ch.draw(7).gain((1, 2)) == later
         assert ch.draw(2).gain((1, 2)) == earlier
+
+    def test_different_streams_differ(self):
+        # a shared seed still gives the channel and the arrivals different Philox keys
+        channel = one_link_channel(seed=9)
+        arrivals = ArrivalProcess([(1, 3)], [5.0], seed=9)
+        assert channel._key.tobytes() != arrivals._key.tobytes()
 
     def test_truncation_bounds_gain_and_rate(self):
         ch = one_link_channel(truncation_factor=2.0)
@@ -119,13 +125,6 @@ class TestChannelGeneratorReuse:
             assert state.rates.tobytes() == achievable_rate(gains, ch.sigma2).tobytes(), index
 
 
-def test_channel_and_arrivals_keyed_apart():
-    # a shared seed still gives the two processes different Philox keys
-    channel = one_link_channel(seed=9)
-    arrivals = ArrivalProcess([(1, 3)], [5.0], seed=9)
-    assert channel._key.tobytes() != arrivals._key.tobytes()
-
-
 class TestArrivalProcess:
     def test_zero_rate_always_zero(self):
         ap = ArrivalProcess([(1, 3)], [0.0], seed=1)
@@ -136,6 +135,12 @@ class TestArrivalProcess:
         ap = ArrivalProcess([(1, 3)], [2.5], seed=123)
         counts = [int(ap.draw(s)[0]) for s in range(100_000)]
         assert 2.45 <= np.mean(counts) <= 2.55
+
+    def test_stream_separation(self):
+        # arrivals draw from their own stream, never from the channel's under one seed
+        arrivals = ArrivalProcess([(1, 3)], [5.0], seed=9)
+        assert arrivals._key.tobytes() == _philox_key(9, ARRIVAL_STREAM).tobytes()
+        assert arrivals._key.tobytes() != _philox_key(9, CHANNEL_STREAM).tobytes()
 
     def test_slot_addressable_independent_of_order(self):
         ap = ArrivalProcess([(1, 3), (2, 3)], [1.0, 4.0], seed=5)
