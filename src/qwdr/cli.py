@@ -87,6 +87,21 @@ def _cmd_validate(args) -> int:
         f"{cfg.name}: OK ({len(model.nodes)} nodes, {len(model.links)} links, "
         f"{len(model.flows)} flows, {len(model.link_flow_index)} link-flow elements)"
     )
+    # a slot serves floor(rate) packets, so a routed link whose rate can
+    # never reach 1 holds its slots without moving a packet
+    channel = cfg.build_channel()
+    top = dict(zip(channel.links, channel.link_max_rates.tolist()))
+    routed: dict[tuple[int, int], list[int]] = {}
+    for flow in model.flows:
+        for hop in flow.hops:
+            routed.setdefault(hop, []).append(flow.flow_id)
+    for (i, j), flows in sorted(routed.items()):
+        if top[(i, j)] < 1.0:
+            label = "flow" if len(flows) == 1 else "flows"
+            print(
+                f"dead link ({i}, {j}): its largest rate {top[(i, j)]:.6g} is below 1, so it can "
+                f"never move a packet (route of {label} {', '.join(map(str, flows))})"
+            )
     return 0
 
 

@@ -120,6 +120,14 @@ class LinkFlowIndex:
         self.size = size = len(triples)
         self.positions: dict[Triple, int] = {t: p for p, t in enumerate(triples)}
         self.queue: dict[tuple[int, int], int] = {(i, f): p for p, (i, j, f) in enumerate(triples)}
+        if len(self.queue) != size:  # one queue per element: each node has one next hop per flow
+            hops: dict[tuple[int, int], int] = {}
+            for i, j, f in triples:
+                if hops.setdefault((i, f), j) != j:
+                    raise ValueError(
+                        f"flow {f}: node {i} forwards to both {hops[(i, f)]} and {j}; "
+                        "a flow has one next hop per node"
+                    )
         members: dict[int, list[int]] = {}
         for p, (i, j, f) in enumerate(triples):
             members.setdefault(i, []).append(p)
@@ -224,7 +232,8 @@ class QueueMatrix:
     that serves it, (i, next hop, f). Each queue keeps its length
     in a counter that the batch operations update by the packets they move;
     cumulative arrival (per queue) and service (per element) counters back
-    the exact queue-balance check.
+    the exact queue-balance check. Each flow's backlog is kept too, with the
+    largest value an arrival left it at.
     """
 
     def __init__(self, model: NetworkModel):
@@ -243,6 +252,7 @@ class QueueMatrix:
         self._served = [0] * (size + 1)
         self._arrived = [0] * size
         self._flow_total: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
+        self._flow_peak: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delivered: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_sum: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_hist: dict[int, dict[int, int]] = {fl.flow_id: {} for fl in model.flows}
@@ -260,6 +270,30 @@ class QueueMatrix:
 
     def flow_backlog(self, f: int) -> int:
         return self._flow_total[f]
+
+    def flow_peaks(self) -> dict[int, int]:
+        """Each flow's largest backlog right after an arrival (0 if none).
+
+        In a run the arrivals are the last thing that happens in a slot, and
+        only they raise a backlog, so this is the peak over end-of-slot
+        backlogs.
+        """
+        return dict(self._flow_peak)
+
+    def flow_backlog_slot_sums(self, end: int) -> dict[int, int]:
+        """Each flow's backlog summed over the ends of slots 0 .. end - 1.
+
+        A packet that arrives in slot a is queued at the ends of slots
+        a .. d - 1 if it is delivered in slot d, as many as its delay, and at
+        the ends of slots a .. end - 1 if it is still queued. So the sum is
+        the flow's delay sum plus end - a per queued packet, read from the
+        batches. Valid for a run from slot 0 whose last slot is end - 1.
+        """
+        sums = dict(self.delay_sum)
+        for (_, _, f), fifo in zip(self.triples, self._fifo):
+            for arrival, count in fifo:
+                sums[f] += count * (end - arrival)
+        return sums
 
     def total(self) -> int:
         return self._total
@@ -289,7 +323,10 @@ class QueueMatrix:
             fifo.append([slot, count])
         self._len[p] += count
         self._arrived[p] += count
-        self._flow_total[f] += count
+        backlog = self._flow_total[f] + count
+        self._flow_total[f] = backlog
+        if backlog > self._flow_peak[f]:
+            self._flow_peak[f] = backlog
         self._total += count
         self._injected += count
 

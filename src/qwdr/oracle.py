@@ -318,7 +318,8 @@ def stepwise_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-    return _finalize(s, members, snapshot.differentials)
+    candidates = [k for k in range(K) if glist[k] > 0.0]
+    return _finalize(candidates, s, index)
 
 
 def enumerate_activation_sets(model: NetworkModel, max_sets: int = 200_000):

@@ -10,7 +10,8 @@ A packet therefore spends at least one slot per hop, and the cumulative
 arrival/service ledger reproduces every queue length exactly.
 
 The engine works in element positions: the schedule's active positions and
-a per-position service budget go straight to ``step_slot``, and the queues
+the service budgets of the scheduled positions go straight to
+``step_slot``, and the queues
 move packets in arrival-slot batches (see ``QueueMatrix``). Batching changes
 the cost, not the semantics: head-of-line order, at least one slot per hop
 and the exact ledger are as they would be with one entry per packet.
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import compress
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,62 +74,69 @@ def create_schedule(
     flow). A candidate gets slot t iff nothing already assigned occupies
     either of its endpoint nodes in t and its accumulated slot count is still
     below allocation * period. Infeasible allocations are rejected up front.
+    Only the non-zero entries are read: a zero entry adds nothing to a node
+    sum and gets no slot.
     """
     index = model.link_flow_index
     alloc = np.asarray(allocation, dtype=float)
-    if alloc.shape != (index.size,):
-        raise ValueError(f"allocation must have {index.size} entries")
+    K = index.size
+    if alloc.shape != (K,):
+        raise ValueError(f"allocation must have {K} entries")
     avals = alloc.tolist()
-    for v in avals:
+    # NaN is non-zero, so the check below still sees it
+    nonzero = list(compress(range(K), avals))
+    eca, ecb = index.elem_ca, index.elem_cb
+    load = [0.0] * len(index.nodes)  # incident sums, added in member order
+    for p in nonzero:
+        v = avals[p]
         if not v >= -FEASIBILITY_TOL:  # written so that NaN fails
             raise ValueError("allocation has negative or NaN entries")
-    for cid, mlist in enumerate(index.members):
-        total = 0.0
-        for m in mlist:
-            total += avals[m]
-        if not total <= 1.0 + FEASIBILITY_TOL:
-            raise ValueError(
-                f"allocation infeasible: node {index.nodes[cid]} incident sum {total:.12f} > 1"
-            )
+        load[eca[p]] += v
+        load[ecb[p]] += v
+    if load and not max(load) <= 1.0 + FEASIBILITY_TOL:
+        c = next(c for c, total in enumerate(load) if not total <= 1.0 + FEASIBILITY_TOL)
+        raise ValueError(
+            f"allocation infeasible: node {index.nodes[c]} incident sum {load[c]:.12f} > 1"
+        )
     if period < 1:
         raise ValueError("period must be >= 1")
-    # one busy mask per node with elements, indexed like its constraint
-    busy = [bytearray(period) for _ in index.nodes]
-    eca, ecb = index.elem_ca, index.elem_cb
+    # busy[c * period + t]: node c transmits or receives in slot offset t
+    busy = bytearray(len(load) * period)
     active: list[list[int]] = [[] for _ in range(period)]
-    counts = [0] * index.size
-    quota = alloc * period
-    for p, q in enumerate(quota.tolist()):
+    counts = np.zeros(K, dtype=np.int64)
+    for p in nonzero:
+        q = avals[p] * period
         if q <= 0.0:
             continue
-        busy_i = busy[eca[p]]
-        busy_j = busy[ecb[p]]
+        bi = eca[p] * period
+        bj = ecb[p] * period
         got = 0
         for t in range(period):
             if got >= q:
                 break
-            if busy_i[t] or busy_j[t]:
+            if busy[bi + t] or busy[bj + t]:
                 continue
-            busy_i[t] = 1
-            busy_j[t] = 1
+            busy[bi + t] = 1
+            busy[bj + t] = 1
             active[t].append(p)
             got += 1
         counts[p] = got
-    counts = np.array(counts, dtype=np.int64)
+    quota = alloc * period
     return SlotSchedule(active, counts, quota)
 
 
 def step_slot(
     queues: QueueMatrix,
     active: list[int],
-    service: list[int],
+    service: Union[Sequence[int], Mapping[int, int]],
     arrivals: list[tuple[tuple[int, int], int]],
     slot: int,
 ) -> dict[int, int]:
     """Advance one slot: serve the scheduled elements, then enqueue arrivals.
 
-    ``active`` lists element positions; ``service[p]`` is element p's
-    per-slot packet budget (floor of the link rate); ``arrivals`` pairs
+    ``active`` lists element positions; ``service[p]`` (a list or a dict
+    over the scheduled positions) is element p's per-slot packet budget
+    (floor of the link rate); ``arrivals`` pairs
     (source node, flow) with an int packet count. Active elements are
     verified node-disjoint, so transfers read consistent start-of-slot
     queues in any order, and the exact queue ledger is checked after the
@@ -211,6 +220,7 @@ def run(
     flow_ids = index.flow_ids
     link_pos = index.link_offsets(channel.positions)
     source_list = list(arrivals.sources)
+    source_range = range(len(source_list))
     flow_backlog = queues.flow_backlog
 
     reviews: list[ReviewRecord] = []
@@ -219,8 +229,6 @@ def run(
     zero_scheduled = 0
     max_total = 0
     total_sum = 0
-    flow_max = {f: 0 for f in flow_ids}
-    flow_sum = {f: 0 for f in flow_ids}
 
     t = 0
     review_index = 0
@@ -234,12 +242,13 @@ def run(
         zero_scheduled += int(schedule.counts[snap.differentials == 0].sum())
         reviews.append(ReviewRecord(review_index, t, t + period, total))
         rates = state.rates.tolist()
-        service = [int(rates[link]) for link in link_pos]
+        # packets per slot of each scheduled element: the floor of its link rate
+        service = {p: int(rates[link_pos[p]]) for p in set().union(*schedule.active)}
         start = t
         stop = min(t + period, horizon)
         for t in range(start, stop):
             counts = arrivals.draw(t).tolist()
-            arr = [(source_list[s], c) for s, c in enumerate(counts) if c]
+            arr = [(source_list[s], counts[s]) for s in compress(source_range, counts)]
             active = schedule.active[t - start]
             step_slot(queues, active, service, arr, t)
             if record_schedule:
@@ -248,11 +257,6 @@ def run(
             total_sum += total_now
             if total_now > max_total:
                 max_total = total_now
-            for f in flow_ids:
-                b = flow_backlog(f)
-                flow_sum[f] += b
-                if b > flow_max[f]:
-                    flow_max[f] = b
             if queue_sample_interval and t % queue_sample_interval == 0:
                 samples.append((t, total_now, tuple(flow_backlog(f) for f in flow_ids)))
         t = stop
@@ -266,8 +270,8 @@ def run(
         queue_samples=samples,
         max_total_queue=max_total,
         total_queue_slot_sum=total_sum,
-        flow_max_backlog=flow_max,
-        flow_backlog_slot_sum=flow_sum,
+        flow_max_backlog=queues.flow_peaks(),
+        flow_backlog_slot_sum=queues.flow_backlog_slot_sums(horizon),
         zero_backlog_scheduled=zero_scheduled,
         schedule_trace=sched_trace,
     )

@@ -42,7 +42,9 @@ bit-identical to taking all cycles * K of them, as the reference
 
 * A step whose element has g <= 0 changes nothing, so each cycle visits only
   the elements with g > 0, in position order. The arithmetic is the same
-  sequence of float operations.
+  sequence of float operations. Only the elements with a non-zero
+  differential (the live ones) can have g > 0, so the gradient, the steps
+  and the finalization read those alone.
 * Fast path: let S_c be the sum of alpha * g_k over the positive members of
   node c. If cycles * S_c < 1 - 1e-6 for every node, no projection can
   fire. Without projections the node sums only grow, and after the last
@@ -51,20 +53,24 @@ bit-identical to taking all cycles * K of them, as the reference
   relative cycles * K * 2^-53 of the exact value, below 1.2e-7 for up to
   1e9 steps (``CALM_MAX_STEPS``) and far inside the 1e-6 margin. So every
   excess stays negative, below any tolerance >= 0. Each s_k then only
-  receives its own bump d = alpha * g_k once a cycle; adding d to 0.0
-  ``cycles`` times is the same sequence of additions the step loop makes,
-  so s_k has the same bits. The node sums themselves are not kept.
+  receives its own bump d = alpha * g_k once a cycle; adding the vector of
+  bumps to a zero vector ``cycles`` times makes, element by element, the
+  sequence of additions the step loop makes, so s_k has the same bits. The
+  node sums themselves are not kept. Finalization would change nothing:
+  every s_k is positive, and a node's sum of its s_k, rounded once more over
+  at most K additions, is still below 1, so no node is rescaled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
-from .network import NetworkModel, QueueSnapshot
+from .network import LinkFlowIndex, NetworkModel, QueueSnapshot
 from .stochastic import ChannelState
 
 #: excess below which a node constraint counts as satisfied
@@ -173,22 +179,33 @@ def gradient_vector(
     weight_cfg: WeightConfig,
 ) -> np.ndarray:
     """Element gradients w(Qf) * Qij_f * mu_ij, in position order."""
-    return np.array(_gradients(snapshot, channel, model, weight_cfg), dtype=float)
+    out = np.zeros(model.link_flow_index.size)
+    live, g = _live_gradients(snapshot, channel, model, weight_cfg)
+    out[live] = g
+    return out
 
 
-def _gradients(snapshot, channel, model, weight_cfg) -> list[float]:
-    """``gradient_vector`` as a plain list, read by position throughout."""
+def _live_gradients(snapshot, channel, model, weight_cfg) -> tuple[list[int], list[float]]:
+    """The positions with a non-zero differential, ascending, and their gradients.
+
+    Every other element's gradient is w * 0 * mu = 0. A flow's weight is
+    computed only when one of its elements is live.
+    """
     index = model.link_flow_index
+    dl = snapshot.differentials.tolist()
+    live = list(compress(range(index.size), dl))
+    if not live:
+        return live, []
     backlogs = snapshot.flow_backlogs
     thresholds = weight_cfg.thresholds
-    w = [weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg) for f in index.flow_ids]
+    flow_ids, elem_flow = index.flow_ids, index.elem_flow
+    w = {}
+    for fp in {elem_flow[k] for k in live}:
+        f = flow_ids[fp]
+        w[fp] = weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg)
     rates = channel.rates.tolist()
-    return [
-        w[fp] * d * rates[link]
-        for fp, d, link in zip(
-            index.elem_flow, snapshot.differentials.tolist(), index.link_offsets(channel.positions)
-        )
-    ]
+    link = index.link_offsets(channel.positions)
+    return live, [w[elem_flow[k]] * dl[k] * rates[link[k]] for k in live]
 
 
 def solve_allocation(
@@ -204,9 +221,9 @@ def solve_allocation(
     then project onto the (at most two) violated endpoint-node constraints,
     with the kernel ``oracle.project_pair`` uses. The step does not enforce s >= 0
     (see the module docstring), so the raw iterate can go negative.
-    Finalization clamps negatives, rescales any node whose incident sum
-    exceeds 1, and zeroes every element whose differential backlog was zero
-    at the review instant. All-zero backlog short-circuits to the zero
+    Finalization clamps negatives and rescales any node whose incident sum
+    exceeds 1; every element whose differential backlog was zero at the
+    review instant gets 0. All-zero backlog short-circuits to the zero
     vector. Only the steps that can change the iterate are taken (see the
     module docstring); ``oracle.stepwise_allocation`` takes every step and
     returns the same bits.
@@ -215,35 +232,39 @@ def solve_allocation(
     wcfg = weight_cfg or WeightConfig()
     index = model.link_flow_index
     K = index.size
-    if K == 0:
-        return np.zeros(0)
-    glist = _gradients(snapshot, channel, model, wcfg)
+    live, glist = _live_gradients(snapshot, channel, model, wcfg)
     alpha = cfg.alpha
     cycles = cfg.cycles
     eca, ecb = index.elem_ca, index.elem_cb
     # the steps that move the iterate, in step order: element, its two
     # constraints and its bump
-    steps = [(k, eca[k], ecb[k], alpha * gk) for k, gk in enumerate(glist) if gk > 0.0]
+    steps = [(k, eca[k], ecb[k], alpha * gk) for k, gk in zip(live, glist) if gk > 0.0]
     if not steps:
         return np.zeros(K)
+    stepped = [k for k, a, b, d in steps]
 
-    s = [0.0] * K
     members = index.members
     per_cycle = [0.0] * len(members)  # what one cycle adds to each node's sum
     for k, a, b, d in steps:
         per_cycle[a] += d
         per_cycle[b] += d
     if max(per_cycle) * cycles < CALM_BOUND and cycles * K <= CALM_MAX_STEPS:
-        # no projection can fire: each element only adds its bump once a cycle
-        for k, a, b, d in steps:
-            x = 0.0
-            for _ in range(cycles):
-                x += d
-            s[k] = x
-        return _finalize(s, members, snapshot.differentials)
+        # no projection can fire: each element only adds its bump once a
+        # cycle, and adding the bump vector elementwise makes the same
+        # float additions. Finalization has nothing to do either: every
+        # entry is positive, and every node sum stays below 1 by the margin
+        # that keeps the projections off (see the module docstring).
+        bumps = np.array([d for k, a, b, d in steps])
+        x = np.zeros(len(steps))
+        for _ in range(cycles):
+            x += bumps
+        out = np.zeros(K)
+        out[stepped] = x
+        return out
 
     # flat state with incrementally maintained constraint sums; every element
     # belongs to exactly two constraints, so one coordinate change updates two
+    s = [0.0] * K
     consum = [0.0] * len(members)
     sizes = index.sizes
     eover, esame = index.elem_overlap, index.elem_same
@@ -269,22 +290,35 @@ def solve_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-    return _finalize(s, members, snapshot.differentials)
+    return _finalize(stepped, s, index)
 
 
-def _finalize(s: list[float], members: list[list[int]], differentials: np.ndarray) -> np.ndarray:
-    """Clamp negatives, rescale each overfull node in turn, zero idle elements."""
-    s = [0.0 if x < 0.0 else x for x in s]
-    for mlist in members:  # sequential per-node rescale; shrinking only
+def _finalize(stepped: list[int], s: list[float], index: LinkFlowIndex) -> np.ndarray:
+    """The allocation from the iterate ``s`` whose stepped elements are ``stepped``.
+
+    Clamps negatives, then rescales each overfull node in ascending node
+    order, one after the other. An element that was never stepped ends at 0:
+    a projection can only push it down, and the clamp lifts it back to 0. So
+    only the stepped elements are read, and only their nodes can be
+    overfull; their sums still run over all members, in member order, and a
+    zero term changes no sum.
+    """
+    out = [0.0] * index.size
+    for k in stepped:
+        x = s[k]
+        out[k] = 0.0 if x < 0.0 else x
+    members = index.members
+    nodes = set(map(index.elem_ca.__getitem__, stepped))
+    nodes.update(map(index.elem_cb.__getitem__, stepped))
+    for c in sorted(nodes):  # sequential per-node rescale; shrinking only
+        mlist = members[c]
         total = 0.0
         for m in mlist:
-            total += s[m]
+            total += out[m]
         if total > 1.0:
             for m in mlist:
-                s[m] /= total
-    out = np.asarray(s, dtype=float)
-    out[differentials == 0] = 0.0
-    return out
+                out[m] /= total
+    return np.array(out)
 
 
 def suboptimality_bound(alpha: float, n_elements: int, grad_max: float) -> float:

@@ -128,6 +128,7 @@ class ChannelModel:
             self.mean_gain = np.array([float(mean_gain[l]) for l in self.links])
             if not np.all(self.mean_gain >= 0):
                 raise ValueError("mean gains must be >= 0")
+        self._rayleigh_scale = self.mean_gain / np.sqrt(np.pi / 2.0)  # amplitude model
         # an overflow gives inf: a fading link's cap or a fixed link's rate is
         # rejected; a fixed channel never applies its cap
         with np.errstate(over="ignore"):
@@ -138,13 +139,16 @@ class ChannelModel:
                 raise ValueError("link rates are unbounded: gain / sigma2 overflows")
 
     @property
+    def link_max_rates(self) -> np.ndarray:
+        """The largest rate each link can draw, aligned with ``links``."""
+        if self._fixed_rates is not None:
+            return self._fixed_rates
+        return achievable_rate(self.gain_cap, self.sigma2)
+
+    @property
     def max_rate(self) -> float:
         """The largest rate any draw can give."""
-        if self._fixed_rates is not None:
-            return float(self._fixed_rates.max(initial=0.0))
-        if len(self.links) == 0:
-            return 0.0
-        return float(np.log1p(self.gain_cap.max() / self.sigma2))
+        return float(self.link_max_rates.max(initial=0.0))
 
     def _seek(self, index: int) -> np.random.Generator:
         """The model's generator in the state ``_rng_at(key, index)`` starts in.
@@ -167,11 +171,14 @@ class ChannelModel:
             raise ValueError("review index must be >= 0")
         if self._fixed_rates is not None:
             return ChannelState(self.links, self.mean_gain.copy(), self._fixed_rates.copy(), self.positions)
-        rng = self._seek(review_index)
+        # the samplers' own arithmetic on one standard exponential draw per
+        # link: exponential(mean) is mean * e, rayleigh(scale) is
+        # scale * sqrt(2 e); the same bits, without the per-element calls
+        e = self._seek(review_index).standard_exponential(len(self.links))
         if self.gain_model == "power":
-            gains = rng.exponential(self.mean_gain)
+            gains = e * self.mean_gain
         else:
-            gains = rng.rayleigh(scale=self.mean_gain / np.sqrt(np.pi / 2.0))
+            gains = self._rayleigh_scale * np.sqrt(2.0 * e)
         gains = np.minimum(gains, self.gain_cap)
         return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2), self.positions)
 

@@ -28,6 +28,31 @@ class TestValidate:
         assert main(["validate", path]) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "2 link-flow elements" in out
+        assert "dead link" not in out
+
+    def test_dead_links_named(self, tmp_path, capsys):
+        # floor(rate) packets per slot: a routed link whose largest rate is
+        # below 1 never moves one; an unrouted one is not reported
+        doc = tandem_doc()
+        doc["links"].append([1, 3])
+        doc["flows"].append({"id": 2, "source": 1, "route": [1, 2], "rate": 0.5})
+        doc["channel"]["fixed_rates"] = {"1-2": 0.9, "2-3": 1.0, "1-3": 0.1}
+        assert main(["validate", write_scenario(tmp_path, doc)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "dead link" in line]
+        assert lines == [
+            "dead link (1, 2): its largest rate 0.9 is below 1, so it can never move a packet "
+            "(route of flows 3, 2)"
+        ]
+
+    def test_dead_fading_link_named(self, tmp_path, capsys):
+        # a fading link's largest rate is log1p(mean gain x truncation / sigma2)
+        doc = tandem_doc()
+        del doc["channel"]["fixed_rates"]
+        doc["nodes"] = {"1": [0.0, 0.0], "2": [1.0, 0.0], "3": [1.0, 40.0]}
+        assert main(["validate", write_scenario(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        assert "dead link (1, 2)" not in out
+        assert "dead link (2, 3)" in out and "(route of flow 3)" in out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         doc = tandem_doc()

@@ -11,7 +11,9 @@ destinations. The properties:
 * a schedule grants each element at most ceil(quota) slots, and the active
   elements of each slot share no node;
 * both per-slot invariants hold over a short run;
-* equal seeds give equal ``metrics.json`` bytes.
+* equal seeds give equal ``metrics.json`` bytes;
+* each flow's ``flow_backlog_slot_sum`` and ``flow_max_backlog`` equal the
+  sum and the maximum of its backlog sampled at the end of every slot.
 """
 
 import os
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from qwdr import QueueMatrix, collect_metrics, create_schedule, run, scenario_from_dict, solve_allocation
 from qwdr.simulate import FEASIBILITY_TOL
+from test_simulate import assert_flow_statistics_match_samples
 
 KINDS = ("grid", "tree", "star", "geometric")
 
@@ -180,3 +183,20 @@ def test_short_runs_keep_invariants_and_repeat_bytes(doc):
             with open(os.path.join(out, "metrics.json"), "rb") as fh:
                 digests.append(fh.read())
     assert digests[0] == digests[1]
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios())
+def test_flow_statistics_equal_per_slot_samples(doc):
+    cfg = scenario_from_dict(doc)
+    result = run(
+        cfg.build_model(),
+        cfg.build_channel(),
+        cfg.build_arrivals(),
+        horizon=cfg.horizon_slots,
+        solver_cfg=cfg.build_solver_config(),
+        weight_cfg=cfg.build_weight_config(),
+        k0=cfg.k0,
+        queue_sample_interval=1,
+    )
+    assert_flow_statistics_match_samples(result)

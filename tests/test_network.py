@@ -73,6 +73,16 @@ class TestLinkFlowIndex:
         with pytest.raises(ValueError, match=r"duplicate link-flow element \(2, 3, 3\)"):
             LinkFlowIndex(flows)
 
+    def test_two_next_hops_of_one_flow_rejected(self):
+        # one flow id leaving node 1 by two hops would give four elements
+        # but three queues; NetworkModel refuses the ids first
+        flows = [
+            FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=1.0),
+            FlowSpec(flow_id=3, source=1, route=(1, 4, 3), arrival_rate=1.0),
+        ]
+        with pytest.raises(ValueError, match=r"flow 3: node 1 forwards to both 2 and 4"):
+            LinkFlowIndex(flows)
+
     def test_queue_wiring_of_a_tandem(self):
         index = LinkFlowIndex([FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5)])
         assert index.queue == {(1, 3): 0, (2, 3): 1}

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from qwdr import (
     SolverConfig,
     WeightConfig,
     create_schedule,
+    make_paper15_scenario,
     next_review_period,
     run,
+    scenario_from_dict,
     step_slot,
 )
 from conftest import fixed_channel, queues_with, tandem_model
@@ -245,3 +249,68 @@ class TestRun:
         res = run(model, channel, arrivals, horizon=200, record_schedule=True)
         assert res.schedule_trace
         assert all(len(row) == 4 for row in res.schedule_trace)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_flow_statistics_match_samples(result):
+    """Per-flow peak and backlog-slot sum equal the per-slot samples' max and sum."""
+    flow_ids = result.model.link_flow_index.flow_ids
+    assert [slot for slot, _, _ in result.queue_samples] == list(range(result.horizon))
+    for n, f in enumerate(flow_ids):
+        series = [backlogs[n] for _, _, backlogs in result.queue_samples]
+        assert result.flow_backlog_slot_sum[f] == sum(series), f
+        assert result.flow_max_backlog[f] == max(series), f
+    assert list(result.flow_backlog_slot_sum) == list(result.flow_max_backlog) == flow_ids
+
+
+class TestFlowStatistics:
+    """``flow_max_backlog`` and ``flow_backlog_slot_sum`` against every slot's sample."""
+
+    @pytest.mark.parametrize("name, horizon", [("paper15-row2", 600), ("grid-review", 120), ("chain-overload", 600)])
+    def test_benchmark_workloads(self, name, horizon):
+        workloads = _load_workloads()
+        spec = workloads.make_spec(name, 3)
+        if "preset" in spec:
+            cfg = make_paper15_scenario(**{**spec["preset"], "horizon": horizon})
+        else:
+            spec["doc"]["run"]["horizon_slots"] = horizon
+            cfg = scenario_from_dict(spec["doc"])
+        result = run(
+            cfg.build_model(),
+            cfg.build_channel(),
+            cfg.build_arrivals(),
+            horizon=cfg.horizon_slots,
+            solver_cfg=cfg.build_solver_config(),
+            weight_cfg=cfg.build_weight_config(),
+            k0=cfg.k0,
+            queue_sample_interval=1,
+        )
+        assert result.horizon == horizon
+        assert result.queues.delivered_total > 0 and result.queues.total() > 0
+        assert_flow_statistics_match_samples(result)
+
+    def test_idle_and_empty_runs(self):
+        # a flow that never receives a packet, and a network with no element
+        model = NetworkModel(
+            nodes=[1, 2, 3],
+            links=[(1, 2), (2, 3)],
+            flows=[
+                FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=2.0),
+                FlowSpec(flow_id=2, source=1, route=(1, 2), arrival_rate=0.0),
+            ],
+        )
+        arrivals = ArrivalProcess([(1, 3), (1, 2)], [2.0, 0.0], seed=4)
+        result = run(model, fixed_channel(model, 1.5), arrivals, horizon=300, queue_sample_interval=1)
+        assert result.flow_max_backlog[2] == result.flow_backlog_slot_sum[2] == 0
+        assert_flow_statistics_match_samples(result)
+        empty = NetworkModel(nodes=[1], links=[], flows=[])
+        result = run(empty, fixed_channel(empty, 1.0), ArrivalProcess([], []), horizon=5, queue_sample_interval=1)
+        assert result.flow_max_backlog == result.flow_backlog_slot_sum == {}
+        assert result.zero_backlog_scheduled == 0

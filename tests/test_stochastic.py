@@ -124,6 +124,21 @@ class TestChannelGeneratorReuse:
             assert state.gains.tobytes() == gains.tobytes(), index
             assert state.rates.tobytes() == achievable_rate(gains, ch.sigma2).tobytes(), index
 
+    @pytest.mark.parametrize("gain_model", ["power", "amplitude"])
+    def test_sampler_arithmetic_identity(self, gain_model):
+        # draw() scales one standard exponential draw per link itself; the
+        # gains must keep the bits of numpy's own samplers, for zero, tiny,
+        # ordinary and huge means, and for a channel of a single link
+        means = [0.0, 5e-324, 1e-300, 0.37, 1.0, 46_000.0, 3.1e6, 1e300]
+        links = [(n, n + 1) for n in range(len(means))]
+        channels = [
+            ChannelModel(links, dict(zip(links, means)), gain_model=gain_model, seed=11),
+            ChannelModel([(1, 2)], {(1, 2): 2.5}, gain_model=gain_model, seed=12),
+        ]
+        for ch in channels:
+            for index in range(10_000):
+                assert ch.draw(index).gains.tobytes() == self.fresh_gains(ch, index).tobytes(), index
+
 
 class TestArrivalProcess:
     def test_zero_rate_always_zero(self):
