@@ -24,7 +24,10 @@ cfg = qwdr.scenario_from_dict(
 model = cfg.build_model()
 print(f"network: {len(model.nodes)} nodes, {len(model.links)} links, "
       f"{len(model.link_flow_index)} link-flow elements")
-print(f"interference sets: { {n: sorted(s) for n, s in qwdr.build_interference_sets(model.links).items()} }")
+# one interference constraint per node: the (i, j, flow) elements touching it
+index = model.link_flow_index
+constraints = {n: [index.triples[p] for p in index.members[c]] for c, n in enumerate(index.nodes)}
+print(f"node constraints: {constraints}")
 
 result = qwdr.run(
     model=model,

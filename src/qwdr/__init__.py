@@ -17,11 +17,9 @@ from .network import (
     QueueMatrix,
     QueueSnapshot,
     SimulationInvariantError,
-    build_interference_sets,
 )
 from .oracle import (
     CapacityQuery,
-    CapacityResult,
     SizeError,
     capacity_membership,
     enumerate_activation_sets,
@@ -34,7 +32,7 @@ from .scenario import (
     make_paper15_scenario,
     scenario_from_dict,
 )
-from .metrics import FlowMetrics, collect_metrics, compare_runs, flow_metrics, round_half_away_from_zero
+from .metrics import collect_metrics, compare_runs, flow_metrics
 from .simulate import RunResult, SlotSchedule, create_schedule, next_review_period, run, step_slot
 from .solver import (
     SolverConfig,
@@ -44,18 +42,15 @@ from .solver import (
     suboptimality_bound,
     weight,
 )
-from .stochastic import ArrivalProcess, ChannelModel, ChannelState, achievable_rate
+from .stochastic import ArrivalProcess, ChannelModel, achievable_rate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrivalProcess",
     "CapacityQuery",
-    "CapacityResult",
     "ChannelModel",
-    "ChannelState",
     "ConfigError",
-    "FlowMetrics",
     "FlowSpec",
     "LinkFlowIndex",
     "NetworkModel",
@@ -69,7 +64,6 @@ __all__ = [
     "SolverConfig",
     "WeightConfig",
     "achievable_rate",
-    "build_interference_sets",
     "capacity_membership",
     "collect_metrics",
     "compare_runs",
@@ -81,7 +75,6 @@ __all__ = [
     "make_paper15_scenario",
     "mean_rates_from_channel",
     "next_review_period",
-    "round_half_away_from_zero",
     "run",
     "scenario_from_dict",
     "solve_allocation",

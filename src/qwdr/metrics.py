@@ -37,19 +37,6 @@ class FlowMetrics:
     max_backlog: int
     avg_backlog: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "flow_id": self.flow_id,
-            "delay_target": self.delay_target,
-            "delivered": self.delivered,
-            "mean_delay": self.mean_delay,
-            "mean_delay_rounded": self.mean_delay_rounded,
-            "delay_histogram": {str(k): v for k, v in sorted(self.delay_histogram.items())},
-            "throughput": self.throughput,
-            "max_backlog": self.max_backlog,
-            "avg_backlog": self.avg_backlog,
-        }
-
 
 def flow_metrics(result: RunResult) -> dict[int, FlowMetrics]:
     by_flow = {}
@@ -91,7 +78,11 @@ def collect_metrics(
     flows = flow_metrics(result)
     doc = {
         "config": scenario.to_json_dict() if scenario is not None else None,
-        "flows": {str(f): m.to_json_dict() for f, m in sorted(flows.items())},
+        # every field, by vars(): dataclasses.asdict would deep-copy each histogram entry
+        "flows": {
+            str(f): {**vars(m), "delay_histogram": {str(d): n for d, n in sorted(m.delay_histogram.items())}}
+            for f, m in sorted(flows.items())
+        },
         "network": {
             "horizon_slots": result.horizon,
             "injected": result.queues.injected,

@@ -74,20 +74,6 @@ class FlowSpec:
         return self.arrival_rate * self.delay_target
 
 
-def build_interference_sets(links: Iterable[Link]) -> dict[int, frozenset[Link]]:
-    """Group links into per-node interference sets.
-
-    Node-exclusive model: the set of node ``n`` holds every link incident on
-    ``n`` (either direction). Nodes without links are omitted.
-    """
-    sets: dict[int, set[Link]] = {}
-    for link in links:
-        i, j = link
-        sets.setdefault(i, set()).add(link)
-        sets.setdefault(j, set()).add(link)
-    return {n: frozenset(s) for n, s in sorted(sets.items())}
-
-
 class LinkFlowIndex:
     """The element table: every link-flow element at its position 0..K-1.
 
@@ -156,9 +142,6 @@ class LinkFlowIndex:
 
     def __len__(self) -> int:
         return self.size
-
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self.positions
 
     def link_offsets(self, positions: dict) -> list[int]:
         """Each element's link offset under a channel's ``positions`` map.
@@ -232,8 +215,8 @@ class QueueMatrix:
     that serves it, (i, next hop, f). Each queue keeps its length
     in a counter that the batch operations update by the packets they move;
     cumulative arrival (per queue) and service (per element) counters back
-    the exact queue-balance check. Each flow's backlog is kept too, with the
-    largest value an arrival left it at.
+    the exact queue-balance check. Each flow's backlog and the total are kept
+    too, each with the largest value an arrival left it at.
     """
 
     def __init__(self, model: NetworkModel):
@@ -257,6 +240,7 @@ class QueueMatrix:
         self.delay_sum: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_hist: dict[int, dict[int, int]] = {fl.flow_id: {} for fl in model.flows}
         self._total = 0
+        self._total_peak = 0
         self._injected = 0
         self._delivered_total = 0
 
@@ -298,6 +282,10 @@ class QueueMatrix:
     def total(self) -> int:
         return self._total
 
+    def total_peak(self) -> int:
+        """The largest total backlog right after an arrival; see ``flow_peaks``."""
+        return self._total_peak
+
     @property
     def injected(self) -> int:
         return self._injected
@@ -327,7 +315,10 @@ class QueueMatrix:
         self._flow_total[f] = backlog
         if backlog > self._flow_peak[f]:
             self._flow_peak[f] = backlog
-        self._total += count
+        total = self._total + count
+        self._total = total
+        if total > self._total_peak:
+            self._total_peak = total
         self._injected += count
 
     def transfer(self, i: int, j: int, f: int, max_packets: int, slot: int) -> int:

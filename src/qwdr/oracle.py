@@ -26,6 +26,10 @@ from .solver import TOLERANCE, SolverConfig, WeightConfig, _finalize, _pair_mult
 from .stochastic import ChannelState
 
 
+#: |optimal slack| below which a capacity check reports the boundary band
+CAPACITY_TOLERANCE = 1e-7
+
+
 class SizeError(ValueError):
     """Instance exceeds the enumeration scale these references are built for."""
 
@@ -362,7 +366,6 @@ class CapacityQuery:
     model: NetworkModel
     arrivals: dict[tuple[int, int], float]
     mean_rates: dict[tuple[int, int], float]
-    tolerance: float = 1e-7
     max_sets: int = 200_000
 
 
@@ -378,11 +381,11 @@ class CapacityResult:
 def mean_rates_from_channel(channel, n_samples: int = 200) -> dict:
     """Channel-averaged rate per link, by Monte-Carlo over review draws.
 
-    A degenerate (fixed) channel is reproduced exactly by a single draw.
+    A degenerate (fixed) channel takes one draw, which is exact: averaging
+    copies of a float can change its last bits.
     """
     if channel.gain_model == "fixed":
-        state = channel.draw(0)
-        return {link: state.rate(link) for link in channel.links}
+        n_samples = 1
     if n_samples < 1:
         raise ValueError("need at least one channel sample")
     acc = np.zeros(len(channel.links))
@@ -398,8 +401,8 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
     Solves the feasibility LP: does a convex combination of activation sets
     exist whose per-(node, flow) service margin (outgoing minus incoming
     channel-averaged rate) exceeds the arrival rate by eps everywhere?
-    Positive optimal eps means inside, negative outside, and |eps| below the
-    tolerance is reported as the boundary band.
+    Positive optimal eps means inside, negative outside, and |eps| below
+    ``CAPACITY_TOLERANCE`` is reported as the boundary band.
     """
     model = query.model
     index = model.link_flow_index
@@ -442,9 +445,9 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
     for r, rf in enumerate(rows):
         service_margin = float(elem_coeff[r] @ schedule)
         slack[rf] = -service_margin - query.arrivals.get(rf, 0.0)
-    if eps > query.tolerance:
+    if eps > CAPACITY_TOLERANCE:
         label = "inside"
-    elif eps < -query.tolerance:
+    elif eps < -CAPACITY_TOLERANCE:
         label = "outside"
     else:
         label = "boundary-band"

@@ -180,11 +180,6 @@ class ScenarioConfig:
                 doc.setdefault(f.metadata["section"], {})[f.name] = getattr(self, f.name)
         return doc
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _number(value, where) -> float:
     """``value`` as a finite float: NaN, +-Infinity and overflowing literals such as 1e400 fail."""

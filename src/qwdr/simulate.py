@@ -131,7 +131,7 @@ def step_slot(
     service: Union[Sequence[int], Mapping[int, int]],
     arrivals: list[tuple[tuple[int, int], int]],
     slot: int,
-) -> dict[int, int]:
+) -> None:
     """Advance one slot: serve the scheduled elements, then enqueue arrivals.
 
     ``active`` lists element positions; ``service[p]`` (a list or a dict
@@ -140,11 +140,10 @@ def step_slot(
     (source node, flow) with an int packet count. Active elements are
     verified node-disjoint, so transfers read consistent start-of-slot
     queues in any order, and the exact queue ledger is checked after the
-    arrivals. Returns packets moved per active position.
+    arrivals. The slot's effects are read from ``queues`` alone.
     """
     triples = queues.triples
     seen: set[int] = set()
-    moved: dict[int, int] = {}
     for p in active:
         i, j, f = triples[p]
         if i in seen or j in seen:
@@ -153,11 +152,10 @@ def step_slot(
             )
         seen.add(i)
         seen.add(j)
-        moved[p] = queues.transfer(i, j, f, service[p], slot)
+        queues.transfer(i, j, f, service[p], slot)
     for (node, flow), count in arrivals:
         queues.add_arrivals(node, flow, count, slot)
     queues.verify_balance(slot)
-    return moved
 
 
 @dataclass
@@ -227,8 +225,6 @@ def run(
     samples: list[tuple] = []
     sched_trace: Optional[list] = [] if record_schedule else None
     zero_scheduled = 0
-    max_total = 0
-    total_sum = 0
 
     t = 0
     review_index = 0
@@ -253,25 +249,22 @@ def run(
             step_slot(queues, active, service, arr, t)
             if record_schedule:
                 sched_trace.extend((t, *triples[p]) for p in active)
-            total_now = queues.total()
-            total_sum += total_now
-            if total_now > max_total:
-                max_total = total_now
             if queue_sample_interval and t % queue_sample_interval == 0:
-                samples.append((t, total_now, tuple(flow_backlog(f) for f in flow_ids)))
+                samples.append((t, queues.total(), tuple(flow_backlog(f) for f in flow_ids)))
         t = stop
         review_index += 1
 
+    flow_sums = queues.flow_backlog_slot_sums(horizon)
     return RunResult(
         model=model,
         horizon=horizon,
         queues=queues,
         reviews=reviews,
         queue_samples=samples,
-        max_total_queue=max_total,
-        total_queue_slot_sum=total_sum,
+        max_total_queue=queues.total_peak(),
+        total_queue_slot_sum=sum(flow_sums.values()),
         flow_max_backlog=queues.flow_peaks(),
-        flow_backlog_slot_sum=queues.flow_backlog_slot_sums(horizon),
+        flow_backlog_slot_sum=flow_sums,
         zero_backlog_scheduled=zero_scheduled,
         schedule_trace=sched_trace,
     )

@@ -97,9 +97,9 @@ class WeightConfig:
     thresholds: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.a1 < 0:
+        if not self.a1 >= 0:  # written so that NaN fails, as below
             raise ValueError("a1 must be >= 0")
-        if self.a2 <= 0:
+        if not self.a2 > 0:
             raise ValueError("a2 must be > 0")
         for f, q in self.thresholds.items():
             if q is not None and not q >= 0:  # written so that NaN fails
@@ -164,11 +164,11 @@ class SolverConfig:
     tolerance: float = TOLERANCE
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # written so that NaN fails
             raise ValueError("alpha must be > 0")
         if self.cycles < 1:
             raise ValueError("cycles must be >= 1")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
 
 

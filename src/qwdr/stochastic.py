@@ -208,8 +208,6 @@ class ArrivalProcess:
         """Arrival counts aligned with ``sources``; same slot -> same counts."""
         if slot < 0:
             raise ValueError("slot must be >= 0")
-        if len(self.sources) == 0:
-            return np.zeros(0, dtype=np.int64)
         block, offset = divmod(slot, self._BLOCK)
         if block != self._block_index:
             rng = _rng_at(self._key, block)

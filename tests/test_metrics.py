@@ -10,10 +10,10 @@ from qwdr import (
     collect_metrics,
     compare_runs,
     flow_metrics,
-    round_half_away_from_zero,
     run,
     scenario_from_dict,
 )
+from qwdr.metrics import round_half_away_from_zero
 from conftest import fixed_channel
 
 

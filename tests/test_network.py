@@ -7,34 +7,12 @@ from qwdr import (
     LinkFlowIndex,
     NetworkModel,
     QueueMatrix,
-    build_interference_sets,
 )
 
 
 def three_node_model():
     flows = [FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=1.0)]
     return NetworkModel(nodes=[1, 2, 3], links=[(1, 2), (2, 3)], flows=flows)
-
-
-class TestInterferenceSets:
-    def test_single_link_incident_on_both_endpoints(self):
-        sets = build_interference_sets([(1, 2)])
-        assert sets == {1: frozenset({(1, 2)}), 2: frozenset({(1, 2)})}
-
-    def test_tandem_links_share_middle_node(self):
-        sets = build_interference_sets([(1, 2), (2, 3)])
-        assert sets[2] == frozenset({(1, 2), (2, 3)})
-        assert sets[1] == frozenset({(1, 2)})
-        assert sets[3] == frozenset({(2, 3)})
-
-    def test_star_hub_collects_all_spokes(self):
-        spokes = [(0, 1), (0, 2), (0, 3)]
-        sets = build_interference_sets(spokes)
-        assert sets[0] == frozenset(spokes)
-
-    def test_nodes_without_links_omitted(self):
-        sets = build_interference_sets([(5, 7)])
-        assert set(sets) == {5, 7}
 
 
 class TestLinkFlowIndex:
@@ -60,7 +38,7 @@ class TestLinkFlowIndex:
 
     def test_unknown_triple_raises(self):
         index = LinkFlowIndex([FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=0.5)])
-        assert (3, 1, 3) not in index
+        assert (3, 1, 3) not in index.positions
         with pytest.raises(KeyError):
             index.positions[(3, 1, 3)]
 
@@ -127,13 +105,6 @@ class TestNetworkModel:
         flows = [FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=1.0)]
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
             NetworkModel(nodes=[1, 2, 3], links=[(1, 2)], flows=flows)
-
-    def test_every_link_in_exactly_its_endpoint_sets(self):
-        model = three_node_model()
-        sets = build_interference_sets(model.links)
-        for link in model.links:
-            holders = [n for n, s in sets.items() if link in s]
-            assert sorted(holders) == sorted(link)
 
 
 class TestQueueMatrix:

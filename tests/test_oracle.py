@@ -176,8 +176,11 @@ class TestCapacityMembership:
 
     def test_monotone_in_arrival_scaling(self, rng):
         model = tandem_model(rate=1.0)
-        channel = fixed_channel(model, 5.0)
+        channel = fixed_channel(model, 5.3)
         rates = mean_rates_from_channel(channel)
+        # exact: one draw of a fixed channel, where the mean of 200 copies of
+        # 5.3 would read 5.29999999999998
+        assert rates == {link: 5.3 for link in model.links}
         last_eps = None
         for lam in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             res = capacity_membership(

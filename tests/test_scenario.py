@@ -4,6 +4,7 @@ import re
 import pytest
 
 from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, run, scenario_from_dict
+from qwdr.cli import main
 from conftest import BAD_FIELDS, set_field
 
 
@@ -148,7 +149,7 @@ class TestLoadScenario:
     def test_roundtrip_through_json(self, tmp_path):
         cfg = make_paper15_scenario(seed=3, row=2)
         path = tmp_path / "p15.json"
-        cfg.save(path)
+        assert main(["paper15", "--seed", "3", "--row", "2", "--out", str(path)]) == 0
         loaded = load_scenario(path)
         assert loaded.to_json_dict() == cfg.to_json_dict()
 

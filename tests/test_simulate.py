@@ -118,16 +118,16 @@ class TestStepSlot:
     def test_serve_then_arrivals(self):
         model = single_link_model()
         queues = queues_with(model, {(1, 2): 3})
-        moved = step_slot(
+        step_slot(
             queues,
             active=[0],
             service=[4],
             arrivals=[((1, 2), 2)],
             slot=0,
         )
-        assert moved[0] == 3  # serve start-of-slot queue, then enqueue
-        assert queues.length(1, 2) == 2
+        # serve the start-of-slot queue, then enqueue
         assert queues.delivered[2] == 3
+        assert queues.length(1, 2) == 2
 
     def test_no_active_elements_queues_grow(self):
         model = single_link_model()
@@ -260,9 +260,12 @@ def _load_workloads():
 
 
 def assert_flow_statistics_match_samples(result):
-    """Per-flow peak and backlog-slot sum equal the per-slot samples' max and sum."""
+    """Per-flow and total peaks and backlog-slot sums equal the per-slot samples' max and sum."""
     flow_ids = result.model.link_flow_index.flow_ids
     assert [slot for slot, _, _ in result.queue_samples] == list(range(result.horizon))
+    totals = [total for _, total, _ in result.queue_samples]
+    assert result.max_total_queue == max(totals)
+    assert result.total_queue_slot_sum == sum(totals)
     for n, f in enumerate(flow_ids):
         series = [backlogs[n] for _, _, backlogs in result.queue_samples]
         assert result.flow_backlog_slot_sum[f] == sum(series), f
@@ -271,7 +274,7 @@ def assert_flow_statistics_match_samples(result):
 
 
 class TestFlowStatistics:
-    """``flow_max_backlog`` and ``flow_backlog_slot_sum`` against every slot's sample."""
+    """Per-flow and total peaks and backlog-slot sums against every slot's sample."""
 
     @pytest.mark.parametrize("name, horizon", [("paper15-row2", 600), ("grid-review", 120), ("chain-overload", 600)])
     def test_benchmark_workloads(self, name, horizon):
@@ -314,3 +317,4 @@ class TestFlowStatistics:
         result = run(empty, fixed_channel(empty, 1.0), ArrivalProcess([], []), horizon=5, queue_sample_interval=1)
         assert result.flow_max_backlog == result.flow_backlog_slot_sum == {}
         assert result.zero_backlog_scheduled == 0
+        assert_flow_statistics_match_samples(result)

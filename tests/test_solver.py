@@ -33,6 +33,28 @@ from qwdr.solver import TOLERANCE
 from conftest import fixed_channel, fork_model, queues_with, tandem_model
 
 
+class TestConfigs:
+    # the NaN cases fail every ordered comparison, so a check written as
+    # "x <= 0 is bad" would let them through
+    @pytest.mark.parametrize(
+        "config, name, value",
+        [
+            (SolverConfig, "alpha", 0.0),
+            (SolverConfig, "alpha", math.nan),
+            (SolverConfig, "cycles", 0),
+            (SolverConfig, "tolerance", -1e-9),
+            (SolverConfig, "tolerance", math.nan),
+            (WeightConfig, "a1", -0.1),
+            (WeightConfig, "a1", math.nan),
+            (WeightConfig, "a2", 0.0),
+            (WeightConfig, "a2", math.nan),
+        ],
+    )
+    def test_out_of_range_or_nan_rejected(self, config, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            config(**{name: value})
+
+
 class TestWeight:
     def test_midpoint_value(self):
         cfg = WeightConfig(a1=0.2, a2=2.0)
