@@ -32,7 +32,7 @@ from .scenario import (
     make_paper15_scenario,
     scenario_from_dict,
 )
-from .metrics import collect_metrics, compare_runs, flow_metrics
+from .metrics import collect_metrics, compare_runs
 from .simulate import RunResult, SlotSchedule, create_schedule, next_review_period, run, step_slot
 from .solver import (
     SolverConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "compare_runs",
     "create_schedule",
     "enumerate_activation_sets",
-    "flow_metrics",
     "gradient_vector",
     "load_scenario",
     "make_paper15_scenario",

@@ -43,7 +43,10 @@ def _cmd_run(args) -> int:
         queue_sample_interval=cfg.queue_sample_interval,
         record_schedule=cfg.schedule_trace,
     )
-    doc = collect_metrics(result, cfg, out_dir=args.out)
+    try:
+        doc = collect_metrics(result, cfg, out_dir=args.out)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror or exc}") from exc
     print(f"scenario {cfg.name}: {cfg.horizon_slots} slots, mode={cfg.mode}, seed={cfg.seed}")
     print(f"{'flow':>6} {'target':>8} {'delay':>8} {'delivered':>10} {'throughput':>11}")
     for key, m in sorted(doc["flows"].items(), key=lambda kv: int(kv[0])):
@@ -109,8 +112,11 @@ def _cmd_paper15(args) -> int:
     cfg = make_paper15_scenario(seed=args.seed, row=args.row)
     text = json.dumps(cfg.to_json_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror or exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

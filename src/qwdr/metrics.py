@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from .scenario import ScenarioConfig
@@ -21,47 +20,6 @@ from .simulate import RunResult
 def round_half_away_from_zero(x: float) -> int:
     """Reported delays round to the nearest integer, halves away from zero."""
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
-@dataclass
-class FlowMetrics:
-    """Delivered-packet statistics for one flow over one run."""
-
-    flow_id: int
-    delay_target: Optional[float]
-    delivered: int
-    mean_delay: Optional[float]
-    mean_delay_rounded: Optional[int]
-    delay_histogram: dict[int, int]
-    throughput: float
-    max_backlog: int
-    avg_backlog: float
-
-
-def flow_metrics(result: RunResult) -> dict[int, FlowMetrics]:
-    by_flow = {}
-    horizon = result.horizon
-    for flow in result.model.flows:
-        f = flow.flow_id
-        delivered = result.queues.delivered[f]
-        if delivered > 0:
-            mean = result.queues.delay_sum[f] / delivered
-            rounded = round_half_away_from_zero(mean)
-        else:  # no delivered packets: report the absence, never a fake zero
-            mean = None
-            rounded = None
-        by_flow[f] = FlowMetrics(
-            flow_id=f,
-            delay_target=flow.delay_target,
-            delivered=delivered,
-            mean_delay=mean,
-            mean_delay_rounded=rounded,
-            delay_histogram=dict(result.queues.delay_hist[f]),
-            throughput=delivered / horizon,
-            max_backlog=result.flow_max_backlog[f],
-            avg_backlog=result.flow_backlog_slot_sum[f] / horizon,
-        )
-    return by_flow
 
 
 def collect_metrics(
@@ -75,21 +33,35 @@ def collect_metrics(
     queues.csv (sampled backlog trajectories), reviews.csv, and schedule.csv
     when the run recorded its schedule.
     """
-    flows = flow_metrics(result)
+    queues = result.queues
+    horizon = result.horizon
+    flows = {}
+    for flow in sorted(result.model.flows, key=lambda fl: fl.flow_id):
+        f = flow.flow_id
+        delivered = queues.delivered[f]
+        # no delivered packets: report the absence, never a fake zero
+        mean = queues.delay_sum[f] / delivered if delivered > 0 else None
+        flows[str(f)] = {
+            "flow_id": f,
+            "delay_target": flow.delay_target,
+            "delivered": delivered,
+            "mean_delay": mean,
+            "mean_delay_rounded": None if mean is None else round_half_away_from_zero(mean),
+            "delay_histogram": {str(d): n for d, n in sorted(queues.delay_hist[f].items())},
+            "throughput": delivered / horizon,
+            "max_backlog": result.flow_max_backlog[f],
+            "avg_backlog": result.flow_backlog_slot_sum[f] / horizon,
+        }
     doc = {
         "config": scenario.to_json_dict() if scenario is not None else None,
-        # every field, by vars(): dataclasses.asdict would deep-copy each histogram entry
-        "flows": {
-            str(f): {**vars(m), "delay_histogram": {str(d): n for d, n in sorted(m.delay_histogram.items())}}
-            for f, m in sorted(flows.items())
-        },
+        "flows": flows,
         "network": {
-            "horizon_slots": result.horizon,
-            "injected": result.queues.injected,
-            "delivered": result.queues.delivered_total,
-            "in_flight": result.queues.total(),
+            "horizon_slots": horizon,
+            "injected": queues.injected,
+            "delivered": queues.delivered_total,
+            "in_flight": queues.total,
             "max_total_queue": result.max_total_queue,
-            "avg_total_queue": result.total_queue_slot_sum / result.horizon,
+            "avg_total_queue": result.total_queue_slot_sum / horizon,
         },
         "reviews": {
             "count": len(result.reviews),
@@ -107,12 +79,12 @@ def collect_metrics(
         with open(os.path.join(out_dir, "delays.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["flow", "target", "achieved"])
-            for f, m in sorted(flows.items()):
+            for m in flows.values():
                 writer.writerow(
                     [
-                        f,
-                        "" if m.delay_target is None else m.delay_target,
-                        "" if m.mean_delay_rounded is None else m.mean_delay_rounded,
+                        m["flow_id"],
+                        "" if m["delay_target"] is None else m["delay_target"],
+                        "" if m["mean_delay_rounded"] is None else m["mean_delay_rounded"],
                     ]
                 )
         flow_ids = [fl.flow_id for fl in result.model.flows]

@@ -215,8 +215,9 @@ class QueueMatrix:
     that serves it, (i, next hop, f). Each queue keeps its length
     in a counter that the batch operations update by the packets they move;
     cumulative arrival (per queue) and service (per element) counters back
-    the exact queue-balance check. Each flow's backlog and the total are kept
-    too, each with the largest value an arrival left it at.
+    the exact queue-balance check. Each flow's backlog (``flow_backlog``) and
+    the total (``total``) are kept too, each with its peak (``flow_peak``,
+    ``total_peak``): the largest value an arrival left it at.
     """
 
     def __init__(self, model: NetworkModel):
@@ -234,15 +235,17 @@ class QueueMatrix:
         self._len = [0] * (size + 1)
         self._served = [0] * (size + 1)
         self._arrived = [0] * size
-        self._flow_total: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
-        self._flow_peak: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
+        self.flow_backlog: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
+        # in a run the arrivals are the last thing that happens in a slot, and
+        # only they raise a backlog, so the peaks are over end-of-slot backlogs
+        self.flow_peak: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
+        self.total = 0
+        self.total_peak = 0
+        self.injected = 0
         self.delivered: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
+        self.delivered_total = 0
         self.delay_sum: dict[int, int] = {fl.flow_id: 0 for fl in model.flows}
         self.delay_hist: dict[int, dict[int, int]] = {fl.flow_id: {} for fl in model.flows}
-        self._total = 0
-        self._total_peak = 0
-        self._injected = 0
-        self._delivered_total = 0
 
     def length(self, i: int, f: int) -> int:
         if i == f:
@@ -251,18 +254,6 @@ class QueueMatrix:
         if p is None:
             raise KeyError(f"no queue for node {i}, flow {f}")
         return self._len[p]
-
-    def flow_backlog(self, f: int) -> int:
-        return self._flow_total[f]
-
-    def flow_peaks(self) -> dict[int, int]:
-        """Each flow's largest backlog right after an arrival (0 if none).
-
-        In a run the arrivals are the last thing that happens in a slot, and
-        only they raise a backlog, so this is the peak over end-of-slot
-        backlogs.
-        """
-        return dict(self._flow_peak)
 
     def flow_backlog_slot_sums(self, end: int) -> dict[int, int]:
         """Each flow's backlog summed over the ends of slots 0 .. end - 1.
@@ -278,21 +269,6 @@ class QueueMatrix:
             for arrival, count in fifo:
                 sums[f] += count * (end - arrival)
         return sums
-
-    def total(self) -> int:
-        return self._total
-
-    def total_peak(self) -> int:
-        """The largest total backlog right after an arrival; see ``flow_peaks``."""
-        return self._total_peak
-
-    @property
-    def injected(self) -> int:
-        return self._injected
-
-    @property
-    def delivered_total(self) -> int:
-        return self._delivered_total
 
     def arrived(self, i: int, f: int) -> int:
         return self._arrived[self._queue[(i, f)]]
@@ -311,15 +287,15 @@ class QueueMatrix:
             fifo.append([slot, count])
         self._len[p] += count
         self._arrived[p] += count
-        backlog = self._flow_total[f] + count
-        self._flow_total[f] = backlog
-        if backlog > self._flow_peak[f]:
-            self._flow_peak[f] = backlog
-        total = self._total + count
-        self._total = total
-        if total > self._total_peak:
-            self._total_peak = total
-        self._injected += count
+        backlog = self.flow_backlog[f] + count
+        self.flow_backlog[f] = backlog
+        if backlog > self.flow_peak[f]:
+            self.flow_peak[f] = backlog
+        total = self.total + count
+        self.total = total
+        if total > self.total_peak:
+            self.total_peak = total
+        self.injected += count
 
     def transfer(self, i: int, j: int, f: int, max_packets: int, slot: int) -> int:
         """Move up to max_packets head-of-line packets across element (i,j,f).
@@ -362,9 +338,9 @@ class QueueMatrix:
             n = want - left
             self.delivered[f] += n
             self.delay_sum[f] += dsum
-            self._flow_total[f] -= n
-            self._total -= n
-            self._delivered_total += n
+            self.flow_backlog[f] -= n
+            self.total -= n
+            self.delivered_total += n
         else:
             dst = self._fifo[q]
             while left and src:
@@ -393,7 +369,7 @@ class QueueMatrix:
         length = self._len
         dif = np.array([length[p] - length[q] for p, q in enumerate(self._down)], dtype=np.int64)
         np.maximum(dif, 0, out=dif)
-        return QueueSnapshot(dif, dict(self._flow_total))
+        return QueueSnapshot(dif, dict(self.flow_backlog))
 
     def verify_balance(self, slot: int) -> None:
         """Exact queue-balance identity, plus global packet conservation.
@@ -413,8 +389,8 @@ class QueueMatrix:
                     f"slot {slot}: queue balance broken at node {i} flow {f}: "
                     f"have {have} ({sum(c for _, c in fifo)} in batches), ledger says {expect}"
                 )
-        if self._injected != self._total + self._delivered_total:
+        if self.injected != self.total + self.delivered_total:
             raise SimulationInvariantError(
-                f"slot {slot}: packet conservation broken: injected {self._injected}, "
-                f"queued {self._total} + delivered {self._delivered_total}"
+                f"slot {slot}: packet conservation broken: injected {self.injected}, "
+                f"queued {self.total} + delivered {self.delivered_total}"
             )

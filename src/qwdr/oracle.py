@@ -384,10 +384,10 @@ def mean_rates_from_channel(channel, n_samples: int = 200) -> dict:
     A degenerate (fixed) channel takes one draw, which is exact: averaging
     copies of a float can change its last bits.
     """
-    if channel.gain_model == "fixed":
-        n_samples = 1
     if n_samples < 1:
         raise ValueError("need at least one channel sample")
+    if channel.gain_model == "fixed":
+        n_samples = 1
     acc = np.zeros(len(channel.links))
     for m in range(n_samples):
         acc += channel.draw(m).rates

@@ -268,6 +268,10 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
     if not isinstance(links_doc, list) or not links_doc:
         raise ConfigError("links: at least one [i, j] pair is required")
     links = [_parse_link(l, f"links[{n}]") for n, l in enumerate(links_doc)]
+    first: dict[Link, int] = {}
+    for n, (i, j) in enumerate(links):
+        if first.setdefault((i, j), n) != n:
+            raise ConfigError(f"links[{n}]: link [{i}, {j}] is already links[{first[(i, j)]}]")
     if _optional(doc, "bidirectional", bool, False, "scenario"):
         links = sorted(set(links) | {(j, i) for (i, j) in links})
 
@@ -275,11 +279,14 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
     if not isinstance(flows_doc, list) or not flows_doc:
         raise ConfigError("flows: at least one flow is required")
     flows = []
+    flow_at: dict[int, int] = {}
     for n, fd in enumerate(flows_doc):
         where = f"flows[{n}]"
         if not isinstance(fd, dict):
             raise ConfigError(f"{where}: expected an object")
         fid = _require(fd, "id", int, where)
+        if flow_at.setdefault(fid, n) != n:
+            raise ConfigError(f"{where}.id: flow id {fid} is already flows[{flow_at[fid]}].id")
         source = _require(fd, "source", int, where)
         route = fd.get("route")
         if not isinstance(route, list) or not all(type(x) is int for x in route):

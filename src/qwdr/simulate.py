@@ -229,7 +229,7 @@ def run(
     t = 0
     review_index = 0
     while t < horizon:
-        total = queues.total()
+        total = queues.total
         period = next_review_period(total, k0)
         state = channel.draw(review_index)
         snap = queues.snapshot()
@@ -250,7 +250,7 @@ def run(
             if record_schedule:
                 sched_trace.extend((t, *triples[p]) for p in active)
             if queue_sample_interval and t % queue_sample_interval == 0:
-                samples.append((t, queues.total(), tuple(flow_backlog(f) for f in flow_ids)))
+                samples.append((t, queues.total, tuple(flow_backlog[f] for f in flow_ids)))
         t = stop
         review_index += 1
 
@@ -261,9 +261,9 @@ def run(
         queues=queues,
         reviews=reviews,
         queue_samples=samples,
-        max_total_queue=queues.total_peak(),
+        max_total_queue=queues.total_peak,
         total_queue_slot_sum=sum(flow_sums.values()),
-        flow_max_backlog=queues.flow_peaks(),
+        flow_max_backlog=dict(queues.flow_peak),
         flow_backlog_slot_sum=flow_sums,
         zero_backlog_scheduled=zero_scheduled,
         schedule_trace=sched_trace,

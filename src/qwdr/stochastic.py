@@ -48,20 +48,14 @@ def achievable_rate(gain, sigma2: float = 1.0):
 class ChannelState:
     """Per-link gains and rates, held fixed for one review period.
 
-    ``positions`` maps each link to its offset in ``links``, ``gains`` and
-    ``rates``; every state drawn from one ``ChannelModel`` shares its map.
+    ``positions`` maps each link to its offset in ``gains`` and ``rates``,
+    the order of ``ChannelModel.links``; every state drawn from one
+    ``ChannelModel`` shares its map.
     """
 
-    links: tuple[Link, ...]
     gains: np.ndarray
     rates: np.ndarray
     positions: dict[Link, int] = field(repr=False)
-
-    def gain(self, link: Link) -> float:
-        return float(self.gains[self.positions[link]])
-
-    def rate(self, link: Link) -> float:
-        return float(self.rates[self.positions[link]])
 
 
 class ChannelModel:
@@ -97,6 +91,9 @@ class ChannelModel:
             raise ValueError("truncation factor must be > 0")
         self.links = tuple(links)
         self.positions = {link: p for p, link in enumerate(self.links)}
+        if len(self.positions) != len(self.links):  # each link draws one variate at its one position
+            twice = next(l for l in self.links if self.links.count(l) > 1)
+            raise ValueError(f"link {twice} is listed twice")
         missing = [l for l in self.links if l not in mean_gain]
         if missing and fixed_rates is None:
             raise ValueError(f"no mean gain for links {missing}: give node coordinates or fixed rates")
@@ -170,7 +167,7 @@ class ChannelModel:
         if review_index < 0:
             raise ValueError("review index must be >= 0")
         if self._fixed_rates is not None:
-            return ChannelState(self.links, self.mean_gain.copy(), self._fixed_rates.copy(), self.positions)
+            return ChannelState(self.mean_gain.copy(), self._fixed_rates.copy(), self.positions)
         # the samplers' own arithmetic on one standard exponential draw per
         # link: exponential(mean) is mean * e, rayleigh(scale) is
         # scale * sqrt(2 e); the same bits, without the per-element calls
@@ -180,7 +177,7 @@ class ChannelModel:
         else:
             gains = self._rayleigh_scale * np.sqrt(2.0 * e)
         gains = np.minimum(gains, self.gain_cap)
-        return ChannelState(self.links, gains, achievable_rate(gains, self.sigma2), self.positions)
+        return ChannelState(gains, achievable_rate(gains, self.sigma2), self.positions)
 
 
 class ArrivalProcess:

@@ -93,6 +93,15 @@ class TestRun:
         assert doc["config"]["run"]["seed"] == 9
         assert doc["config"]["run"]["mode"] == "unweighted"
 
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, tandem_doc())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", path, "--slots", "50", "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert "--out: cannot write" in err and str(taken) in err
+        assert "Traceback" not in err
+
     def test_negative_queue_sample_interval_exit_code(self, tmp_path, capsys):
         doc = tandem_doc()
         doc["run"]["queue_sample_interval"] = -7
@@ -180,6 +189,13 @@ class TestPaper15:
         cfg = load_scenario(out)
         assert len(cfg.flows) == 7
         assert cfg.metadata["row"] == 2
+
+    def test_out_in_missing_directory_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "p15.json"
+        assert main(["paper15", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--out: cannot write" in err and str(out) in err
+        assert "Traceback" not in err
 
     def test_stdout_mode(self, capsys):
         assert main(["paper15", "--row", "1"]) == 0

@@ -9,7 +9,6 @@ from qwdr import (
     NetworkModel,
     collect_metrics,
     compare_runs,
-    flow_metrics,
     run,
     scenario_from_dict,
 )
@@ -78,9 +77,9 @@ class TestFlowMetrics:
             flow_backlog_slot_sum={2: 15},
             zero_backlog_scheduled=0,
         )
-        metrics = flow_metrics(result)
-        assert metrics[2].mean_delay == 15.0
-        assert metrics[2].mean_delay_rounded == 15
+        metrics = collect_metrics(result)["flows"]["2"]
+        assert metrics["mean_delay"] == 15.0
+        assert metrics["mean_delay_rounded"] == 15
 
     def test_zero_delivered_reports_absent(self):
         flows = [FlowSpec(flow_id=2, source=1, route=(1, 2), arrival_rate=0.0)]
@@ -99,9 +98,9 @@ class TestFlowMetrics:
             flow_backlog_slot_sum={2: 0},
             zero_backlog_scheduled=0,
         )
-        metrics = flow_metrics(result)
-        assert metrics[2].mean_delay is None
-        assert metrics[2].mean_delay_rounded is None
+        metrics = collect_metrics(result)["flows"]["2"]
+        assert metrics["mean_delay"] is None
+        assert metrics["mean_delay_rounded"] is None
 
     def test_mean_of_two_packets_rounds_half_up(self):
         flows = [FlowSpec(flow_id=2, source=1, route=(1, 2), arrival_rate=0.0)]
@@ -125,9 +124,9 @@ class TestFlowMetrics:
             flow_backlog_slot_sum={2: 7},
             zero_backlog_scheduled=0,
         )
-        metrics = flow_metrics(result)
-        assert metrics[2].mean_delay == pytest.approx(3.5)
-        assert metrics[2].mean_delay_rounded == 4
+        metrics = collect_metrics(result)["flows"]["2"]
+        assert metrics["mean_delay"] == pytest.approx(3.5)
+        assert metrics["mean_delay_rounded"] == 4
 
 
 class TestCollectMetrics:

@@ -142,7 +142,7 @@ class TestQueueMatrix:
         queues.transfer(2, 3, 3, 2, slot=2)
         queues.verify_balance(slot=2)
         assert queues.injected == 4
-        assert queues.total() == 2
+        assert queues.total == 2
         assert queues.delivered_total == 2
 
     def test_snapshot_matches_lengths(self):

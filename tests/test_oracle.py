@@ -181,6 +181,8 @@ class TestCapacityMembership:
         # exact: one draw of a fixed channel, where the mean of 200 copies of
         # 5.3 would read 5.29999999999998
         assert rates == {link: 5.3 for link in model.links}
+        with pytest.raises(ValueError, match="at least one channel sample"):
+            mean_rates_from_channel(channel, n_samples=0)  # as a fading channel does
         last_eps = None
         for lam in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             res = capacity_membership(

@@ -85,8 +85,8 @@ def assert_same_state(queues, ref):
     assert queues.delay_hist == ref.delay_hist
     for f in ref.delivered:
         backlog = sum(len(p) for (_, g), p in ref.queues.items() if g == f)
-        assert queues.flow_backlog(f) == backlog
-    assert queues.total() == sum(len(p) for p in ref.queues.values())
+        assert queues.flow_backlog[f] == backlog
+    assert queues.total == sum(len(p) for p in ref.queues.values())
 
 
 # one operation: (slot advance, arrival or transfer, which source or element, count or budget)

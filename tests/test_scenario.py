@@ -97,7 +97,7 @@ class TestLoadScenario:
             weight_cfg=cfg.build_weight_config(),
         )
         assert result.queues.delivered[3] == 0
-        assert result.queues.injected == result.queues.delivered_total + result.queues.total()
+        assert result.queues.injected == result.queues.delivered_total + result.queues.total
 
     def test_solver_and_weight_limits_accepted(self):
         doc = minimal_doc()
@@ -106,6 +106,22 @@ class TestLoadScenario:
         cfg = scenario_from_dict(doc)
         assert cfg.build_solver_config().cycles == 1
         assert cfg.build_weight_config().a1 == 0.0
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_link_listed_twice_rejected(self, bidirectional):
+        # each listed link draws a fading variate, so a repeat shifts every later link's draw
+        doc = minimal_doc()
+        doc["nodes"]["3"] = [1.0, 0.0]
+        doc["links"] = [[1, 2], [1, 2], [2, 3]]
+        doc["bidirectional"] = bidirectional
+        with pytest.raises(ConfigError, match=r"links\[1\]: link \[1, 2\] is already links\[0\]"):
+            scenario_from_dict(doc)
+
+    def test_duplicate_flow_id_names_the_field(self):
+        doc = minimal_doc()
+        doc["flows"].append({"id": 2, "source": 1, "route": [1, 2], "rate": 0.5})
+        with pytest.raises(ConfigError, match=r"flows\[1\]\.id: flow id 2 is already flows\[0\]\.id"):
+            scenario_from_dict(doc)
 
     def test_missing_links_rejected(self):
         doc = minimal_doc()
@@ -137,7 +153,7 @@ class TestLoadScenario:
         doc["channel"] = {"fixed_rates": {"1-2": 3.0}}
         cfg = scenario_from_dict(doc)
         state = cfg.build_channel().draw(0)
-        assert state.rate((1, 2)) == 3.0
+        assert state.rates[state.positions[(1, 2)]] == 3.0
 
     def test_unweighted_mode_forces_unit_weights(self):
         doc = minimal_doc()

@@ -145,7 +145,7 @@ class TestStepSlot:
         step_slot(queues, [1], service, [], slot=1)
         assert queues.length(2, 3) == 0
         assert queues.delivered[3] == 2
-        assert queues.injected == queues.total() + queues.delivered_total
+        assert queues.injected == queues.total + queues.delivered_total
 
     def test_interference_violation_detected(self):
         model = tandem_model()
@@ -170,7 +170,7 @@ def run_single_link(rate, mu, horizon, seed=11, k0=0.01):
 class TestRun:
     def test_zero_arrivals_stay_empty(self):
         res = run_single_link(0.0, 3.0, horizon=500)
-        assert res.queues.total() == 0
+        assert res.queues.total == 0
         assert res.queues.injected == 0
         assert all(rec.end - rec.start == 1 for rec in res.reviews)
 
@@ -216,7 +216,7 @@ class TestRun:
 
     def test_throughput_approaches_rate_in_stable_run(self):
         res = run_single_link(1.0, 2.2, horizon=40_000)
-        second_half = res.queues.delivered_total - res.queues.injected + res.queues.total()
+        second_half = res.queues.delivered_total - res.queues.injected + res.queues.total
         # delivered / slot over the whole run within 2% of the arrival rate
         assert res.queues.delivered_total / res.horizon == pytest.approx(1.0, rel=0.02)
 
@@ -296,7 +296,7 @@ class TestFlowStatistics:
             queue_sample_interval=1,
         )
         assert result.horizon == horizon
-        assert result.queues.delivered_total > 0 and result.queues.total() > 0
+        assert result.queues.delivered_total > 0 and result.queues.total > 0
         assert_flow_statistics_match_samples(result)
 
     def test_idle_and_empty_runs(self):

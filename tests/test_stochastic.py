@@ -34,10 +34,10 @@ class TestChannelModel:
 
     def test_draws_addressable_out_of_order(self):
         ch = one_link_channel()
-        later = ch.draw(7).gain((1, 2))
-        earlier = ch.draw(2).gain((1, 2))
-        assert ch.draw(7).gain((1, 2)) == later
-        assert ch.draw(2).gain((1, 2)) == earlier
+        later = ch.draw(7).gains[ch.positions[(1, 2)]]
+        earlier = ch.draw(2).gains[ch.positions[(1, 2)]]
+        assert ch.draw(7).gains[ch.positions[(1, 2)]] == later
+        assert ch.draw(2).gains[ch.positions[(1, 2)]] == earlier
 
     def test_different_streams_differ(self):
         # a shared seed still gives the channel and the arrivals different Philox keys
@@ -50,18 +50,22 @@ class TestChannelModel:
         cap = 20.0
         for idx in range(500):
             state = ch.draw(idx)
-            assert state.gain((1, 2)) <= cap + 1e-12
-            assert state.rate((1, 2)) <= ch.max_rate + 1e-12
+            assert state.gains[state.positions[(1, 2)]] <= cap + 1e-12
+            assert state.rates[state.positions[(1, 2)]] <= ch.max_rate + 1e-12
 
     def test_power_model_mean_within_two_percent(self):
         ch = one_link_channel(truncation_factor=1e9)  # effectively untruncated
-        rng_mean = np.mean([ch.draw(i).gain((1, 2)) for i in range(200_000)])
+        rng_mean = np.mean([ch.draw(i).gains[ch.positions[(1, 2)]] for i in range(200_000)])
         assert abs(rng_mean - 10.0) / 10.0 < 0.02
 
     def test_amplitude_model_mean_within_two_percent(self):
         ch = one_link_channel(gain_model="amplitude", truncation_factor=1e9)
-        rng_mean = np.mean([ch.draw(i).gain((1, 2)) for i in range(200_000)])
+        rng_mean = np.mean([ch.draw(i).gains[ch.positions[(1, 2)]] for i in range(200_000)])
         assert abs(rng_mean - 10.0) / 10.0 < 0.02
+
+    def test_link_listed_twice_rejected(self):
+        with pytest.raises(ValueError, match=r"link \(1, 2\) is listed twice"):
+            one_link_channel(links=[(1, 2), (1, 2)])
 
     def test_fixed_rates_exact(self):
         ch = ChannelModel(
@@ -70,22 +74,22 @@ class TestChannelModel:
             fixed_rates={(1, 2): 4.0, (2, 3): 4.0},
         )
         state = ch.draw(0)
-        assert state.rate((1, 2)) == 4.0
-        assert state.rate((2, 3)) == 4.0
-        assert int(state.rate((1, 2))) == 4  # integer floor stays exact
+        assert state.rates[state.positions[(1, 2)]] == 4.0
+        assert state.rates[state.positions[(2, 3)]] == 4.0
+        assert int(state.rates[state.positions[(1, 2)]]) == 4  # integer floor stays exact
 
     def test_fixed_gain_max_rate_is_the_drawn_rate(self):
         # a fixed channel never applies its truncation cap
         ch = ChannelModel([(1, 2)], {(1, 2): 1.0}, gain_model="fixed")
         state = ch.draw(4)
         assert state.rates.tobytes() == achievable_rate(np.array([1.0])).tobytes()
-        assert ch.max_rate == state.rate((1, 2)) == math.log(2.0)
+        assert ch.max_rate == state.rates[state.positions[(1, 2)]] == math.log(2.0)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_finite_fixed_gain_accepted(self):
         # gain x truncation factor overflows, but a fixed channel's rate is finite
         ch = ChannelModel([(1, 2)], {(1, 2): 1e308}, gain_model="fixed")
-        assert ch.draw(0).rate((1, 2)) == ch.max_rate == math.log1p(1e308)
+        assert ch.draw(0).rates[ch.positions[(1, 2)]] == ch.max_rate == math.log1p(1e308)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rate", [708.0, 709.0, 800.0, 2.0**70])
@@ -93,7 +97,7 @@ class TestChannelModel:
         # the back-computed gain overflows to inf; the rate stays exact
         ch = ChannelModel(links=[(1, 2)], mean_gain={}, fixed_rates={(1, 2): rate})
         state = ch.draw(3)
-        assert state.rate((1, 2)) == rate
+        assert state.rates[state.positions[(1, 2)]] == rate
         assert ch.max_rate == rate
 
 
