@@ -47,7 +47,7 @@ for lam in (1.0, 1.5, 1.9, 2.1, 2.5):
     result = run(model, channel, arrivals, horizon=HORIZON, queue_sample_interval=1)
     series = np.array([total for _, total, _ in result.queue_samples])
     slope = float(np.polyfit(np.arange(HORIZON // 2), series[HORIZON // 2 :], 1)[0])
-    print(f"{lam:>6.1f} {cap.label:>14} {cap.epsilon:>8.3f} {result.max_total_queue:>10} "
+    print(f"{lam:>6.1f} {cap.label:>14} {cap.epsilon:>8.3f} {result.queues.total_peak:>10} "
           f"{int(series[-1]):>11} {slope:>11.4f}")
 
 print("\ninside the region queues stay bounded; outside they grow at roughly")

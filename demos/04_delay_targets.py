@@ -29,7 +29,7 @@ for label, row in (("unweighted", 1), ("weighted", 2)):
     )
     runs[label] = qwdr.collect_metrics(result, cfg)
     print(f"{label}: {result.queues.delivered_total} delivered, "
-          f"max backlog {result.max_total_queue}, {len(result.reviews)} reviews")
+          f"max backlog {result.queues.total_peak}, {len(result.reviews)} reviews")
 
 report = qwdr.compare_runs(runs["unweighted"], runs["weighted"])
 print(f"\n{'flow':>6} {'target':>8} {'unweighted':>11} {'weighted':>9} {'ratio':>7} {'met':>5}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .metrics import collect_metrics
@@ -32,6 +33,11 @@ def _apply_overrides(cfg, args):
 
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(load_scenario(args.scenario), args)
+    if args.out is not None:  # before the run, so an unusable path costs no simulation
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror or exc}") from exc
     result = run_simulation(
         model=cfg.build_model(),
         channel=cfg.build_channel(),

@@ -22,6 +22,13 @@ def round_half_away_from_zero(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
+def _write_csv(out_dir: str, name: str, header: list, rows) -> None:
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def collect_metrics(
     result: RunResult,
     scenario: Optional[ScenarioConfig] = None,
@@ -35,6 +42,8 @@ def collect_metrics(
     """
     queues = result.queues
     horizon = result.horizon
+    reviews = result.reviews
+    slot_sums = queues.flow_backlog_slot_sums(horizon)
     flows = {}
     for flow in sorted(result.model.flows, key=lambda fl: fl.flow_id):
         f = flow.flow_id
@@ -49,8 +58,8 @@ def collect_metrics(
             "mean_delay_rounded": None if mean is None else round_half_away_from_zero(mean),
             "delay_histogram": {str(d): n for d, n in sorted(queues.delay_hist[f].items())},
             "throughput": delivered / horizon,
-            "max_backlog": result.flow_max_backlog[f],
-            "avg_backlog": result.flow_backlog_slot_sum[f] / horizon,
+            "max_backlog": queues.flow_peak[f],
+            "avg_backlog": slot_sums[f] / horizon,
         }
     doc = {
         "config": scenario.to_json_dict() if scenario is not None else None,
@@ -60,12 +69,12 @@ def collect_metrics(
             "injected": queues.injected,
             "delivered": queues.delivered_total,
             "in_flight": queues.total,
-            "max_total_queue": result.max_total_queue,
-            "avg_total_queue": result.total_queue_slot_sum / horizon,
+            "max_total_queue": queues.total_peak,
+            "avg_total_queue": sum(slot_sums.values()) / horizon,
         },
         "reviews": {
-            "count": len(result.reviews),
-            "mean_period": result.mean_review_period,
+            "count": len(reviews),
+            "mean_period": sum(r.end - r.start for r in reviews) / len(reviews) if reviews else 0.0,
         },
         "audit": {
             "zero_backlog_scheduled_slots": result.zero_backlog_scheduled,
@@ -76,33 +85,16 @@ def collect_metrics(
         with open(os.path.join(out_dir, "metrics.json"), "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(os.path.join(out_dir, "delays.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["flow", "target", "achieved"])
-            for m in flows.values():
-                writer.writerow(
-                    [
-                        m["flow_id"],
-                        "" if m["delay_target"] is None else m["delay_target"],
-                        "" if m["mean_delay_rounded"] is None else m["mean_delay_rounded"],
-                    ]
-                )
-        flow_ids = [fl.flow_id for fl in result.model.flows]
-        with open(os.path.join(out_dir, "queues.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["slot", "total"] + [f"flow_{f}" for f in flow_ids])
-            for slot, total, backlogs in result.queue_samples:
-                writer.writerow([slot, total] + list(backlogs))
-        with open(os.path.join(out_dir, "reviews.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["review_index", "start", "end", "total_queue"])
-            for rec in result.reviews:
-                writer.writerow([rec.index, rec.start, rec.end, rec.total_queue])
+        # csv writes None, an absent target or delay, as an empty cell
+        delays = ([m["flow_id"], m["delay_target"], m["mean_delay_rounded"]] for m in flows.values())
+        _write_csv(out_dir, "delays.csv", ["flow", "target", "achieved"], delays)
+        header = ["slot", "total"] + [f"flow_{fl.flow_id}" for fl in result.model.flows]
+        samples = ([slot, total, *backlogs] for slot, total, backlogs in result.queue_samples)
+        _write_csv(out_dir, "queues.csv", header, samples)
+        rows = ([rec.index, rec.start, rec.end, rec.total_queue] for rec in reviews)
+        _write_csv(out_dir, "reviews.csv", ["review_index", "start", "end", "total_queue"], rows)
         if result.schedule_trace is not None:
-            with open(os.path.join(out_dir, "schedule.csv"), "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["slot", "i", "j", "flow"])
-                writer.writerows(result.schedule_trace)
+            _write_csv(out_dir, "schedule.csv", ["slot", "i", "j", "flow"], result.schedule_trace)
     return doc
 
 

@@ -314,52 +314,43 @@ class QueueMatrix:
         if left <= 0:
             return 0
         want = left
-        # the loops also stop when the batches run out before the counter
-        # does: the counter then keeps what was not moved and the balance
-        # check reports the queue instead of an IndexError here
         src = self._fifo[p]
         q = self._down[p]
-        if q == self._size:
-            hist = self.delay_hist[f]
-            dsum = 0
-            while left and src:
-                head = src[0]
-                arrival, count = head
-                if count <= left:
-                    src.popleft()
-                    take = count
-                else:
-                    head[1] = count - left
-                    take = left
+        deliver = q == self._size
+        dst = None if deliver else self._fifo[q]
+        hist = self.delay_hist[f]
+        dsum = 0
+        # the loop also stops when the batches run out before the counter
+        # does: the counter then keeps what was not moved and the balance
+        # check reports the queue instead of an IndexError here
+        while left and src:
+            head = src[0]
+            arrival, count = head
+            if count <= left:
+                src.popleft()
+                take = count
+            else:
+                head[1] = count - left
+                take = left
+            if deliver:
                 d = slot - arrival
                 hist[d] = hist.get(d, 0) + take
                 dsum += d * take
-                left -= take
-            n = want - left
+            elif dst and dst[-1][0] == arrival:
+                dst[-1][1] += take
+            elif take == count:
+                dst.append(head)
+            else:
+                dst.append([arrival, take])
+            left -= take
+        n = want - left
+        if deliver:
             self.delivered[f] += n
             self.delay_sum[f] += dsum
             self.flow_backlog[f] -= n
             self.total -= n
             self.delivered_total += n
         else:
-            dst = self._fifo[q]
-            while left and src:
-                head = src[0]
-                arrival, count = head
-                if count <= left:
-                    src.popleft()
-                    take = count
-                else:
-                    head[1] = count - left
-                    take = left
-                if dst and dst[-1][0] == arrival:
-                    dst[-1][1] += take
-                elif take == count:
-                    dst.append(head)
-                else:
-                    dst.append([arrival, take])
-                left -= take
-            n = want - left
             length[q] += n
         length[p] -= n
         self._served[p] += n

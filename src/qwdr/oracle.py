@@ -16,7 +16,7 @@ tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -375,7 +375,6 @@ class CapacityResult:
     label: str  # "inside" | "outside" | "boundary-band"
     node_flow_slack: dict[tuple[int, int], float]
     n_activation_sets: int
-    allocation: dict[tuple[int, int, int], float] = field(default_factory=dict)
 
 
 def mean_rates_from_channel(channel, n_samples: int = 200) -> dict:
@@ -451,5 +450,4 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
         label = "outside"
     else:
         label = "boundary-band"
-    allocation = {t: float(schedule[pos]) for pos, t in enumerate(index.triples)}
-    return CapacityResult(eps, label, slack, n_sets, allocation)
+    return CapacityResult(eps, label, slack, n_sets)

@@ -215,6 +215,12 @@ def _optional(mapping, key, kind, default, where):
     return _require(mapping, key, kind, where)
 
 
+def _reject_unknown(obj: dict, known, prefix: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+
+
 def _section(doc, name) -> dict:
     obj = doc.get(name)
     if obj is None:
@@ -243,6 +249,14 @@ def _fixed_rate(value, where) -> float:
 def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("scenario: top-level document must be an object")
+    # each section's keys: its settings, as ScenarioConfig declares them
+    sections: dict[str, set] = {"channel": {"fixed_rates"}}
+    for f in fields(ScenarioConfig):
+        if f.metadata:
+            sections.setdefault(f.metadata["section"], set()).add(f.name)
+    _reject_unknown(doc, {"name", "nodes", "links", "bidirectional", "flows", "metadata", *sections}, "")
+    for section, keys in sections.items():
+        _reject_unknown(_section(doc, section), keys, f"{section}.")
     name = _optional(doc, "name", str, name_fallback, "scenario")
 
     coordinates = None
@@ -251,11 +265,14 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
         if not isinstance(nodes_doc, dict):
             raise ConfigError("nodes: expected an object of id -> [x, y]")
         coordinates = {}
+        given: dict[int, str] = {}
         for key, xy in nodes_doc.items():
             try:
                 node = int(key)
             except (TypeError, ValueError):
                 raise ConfigError(f"nodes.{key}: node ids must be integers")
+            if given.setdefault(node, key) != key:
+                raise ConfigError(f"nodes.{key}: node {node} is already nodes.{given[node]}")
             if xy is None:
                 continue
             if not isinstance(xy, (list, tuple)) or len(xy) != 2:
@@ -284,6 +301,7 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
         where = f"flows[{n}]"
         if not isinstance(fd, dict):
             raise ConfigError(f"{where}: expected an object")
+        _reject_unknown(fd, ("id", "source", "route", "rate", "delay_target", "weight_enabled"), f"{where}.")
         fid = _require(fd, "id", int, where)
         if flow_at.setdefault(fid, n) != n:
             raise ConfigError(f"{where}.id: flow id {fid} is already flows[{flow_at[fid]}].id")
@@ -314,11 +332,16 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
     fr = _section(doc, "channel").get("fixed_rates")
     if isinstance(fr, dict):
         fixed_rates = {}
+        link_set = set(links)
         for key, val in fr.items():
             try:
                 i, j = (int(part) for part in str(key).split("-"))
             except ValueError:
                 raise ConfigError(f'channel.fixed_rates: keys look like "i-j", got {key!r}')
+            if (i, j) not in link_set:
+                raise ConfigError(f"channel.fixed_rates.{key}: no link [{i}, {j}] in links")
+            if (i, j) in fixed_rates:
+                raise ConfigError(f"channel.fixed_rates.{key}: link [{i}, {j}] already has a rate")
             fixed_rates[(i, j)] = _fixed_rate(val, f"channel.fixed_rates.{key}")
         missing = [l for l in links if l not in fixed_rates]
         if missing:

@@ -168,25 +168,15 @@ class ReviewRecord:
 
 @dataclass
 class RunResult:
-    """Everything a run produces, ready for metric extraction."""
+    """What the loop records; every backlog statistic is read from ``queues``."""
 
     model: NetworkModel
     horizon: int
     queues: QueueMatrix
     reviews: list[ReviewRecord]
     queue_samples: list[tuple]  # (slot, total, per-flow backlogs in flow order)
-    max_total_queue: int
-    total_queue_slot_sum: int
-    flow_max_backlog: dict[int, int]
-    flow_backlog_slot_sum: dict[int, int]
     zero_backlog_scheduled: int
     schedule_trace: Optional[list[tuple[int, int, int, int]]] = None
-
-    @property
-    def mean_review_period(self) -> float:
-        if not self.reviews:
-            return 0.0
-        return float(np.mean([r.end - r.start for r in self.reviews]))
 
 
 def run(
@@ -254,17 +244,12 @@ def run(
         t = stop
         review_index += 1
 
-    flow_sums = queues.flow_backlog_slot_sums(horizon)
     return RunResult(
         model=model,
         horizon=horizon,
         queues=queues,
         reviews=reviews,
         queue_samples=samples,
-        max_total_queue=queues.total_peak,
-        total_queue_slot_sum=sum(flow_sums.values()),
-        flow_max_backlog=dict(queues.flow_peak),
-        flow_backlog_slot_sum=flow_sums,
         zero_backlog_scheduled=zero_scheduled,
         schedule_trace=sched_trace,
     )

@@ -85,11 +85,11 @@ def paper15_run():
 
 
 def _sweep_figures(result):
-    """Per-flow mean delay and ``flow_max_backlog`` of one sweep run."""
+    """Per-flow mean delay and backlog peak (``queues.flow_peak``) of one sweep run."""
     queues = result.queues
     return (
-        {f: queues.delay_sum[f] / queues.delivered[f] for f in result.flow_max_backlog},
-        dict(result.flow_max_backlog),
+        {f: queues.delay_sum[f] / queues.delivered[f] for f in result.queues.flow_peak},
+        dict(result.queues.flow_peak),
     )
 
 
@@ -108,7 +108,7 @@ def five_seed_sweep(paper15_run):
 
     Returns per-mode mean delays per flow, the per-run delays, the wall time
     of the first run (seed 1 unweighted, timed in its worker), and each run's
-    ``flow_max_backlog`` per flow. The seed-1 weighted run is ``paper15_run``;
+    ``queues.flow_peak`` per flow. The seed-1 weighted run is ``paper15_run``;
     the nine others run on two worker processes, each timing its own run.
     """
     delays = {"unweighted": {}, "weighted": {}}
@@ -375,7 +375,7 @@ def test_criterion_4_stability_inside_and_outside():
     mid = float(series[40_000:60_000].mean())
     last = float(series[80_000:].mean())
     drift_ok = abs(last - mid) <= 0.10 * mid
-    stable_ok = stable.max_total_queue < 200 and drift_ok
+    stable_ok = stable.queues.total_peak < 200 and drift_ok
 
     model, channel, arrivals = _tandem_cfg(2.5)
     unstable = run(model, channel, arrivals, horizon=horizon, queue_sample_interval=1)
@@ -389,11 +389,11 @@ def test_criterion_4_stability_inside_and_outside():
         4,
         "stability inside/outside the capacity region",
         passed,
-        f"inside slack {labels[1.5][1]:.3f}: max queue {stable.max_total_queue}, "
+        f"inside slack {labels[1.5][1]:.3f}: max queue {stable.queues.total_peak}, "
         f"mid/late averages {mid:.1f}/{last:.1f}; outside slack {labels[2.5][1]:.3f}: "
         f"final queue {final_total}, late slope {slope:.3f} pkts/slot",
     )
-    assert stable_ok, f"stable run failed: max={stable.max_total_queue}, mid={mid}, last={last}"
+    assert stable_ok, f"stable run failed: max={stable.queues.total_peak}, mid={mid}, last={last}"
     assert unstable_ok, f"unstable run failed: final={final_total}, slope={slope}"
 
 

@@ -93,10 +93,15 @@ class TestRun:
         assert doc["config"]["run"]["seed"] == 9
         assert doc["config"]["run"]["mode"] == "unweighted"
 
-    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
         path = write_scenario(tmp_path, tandem_doc())
         taken = tmp_path / "taken"
         taken.write_text("")
+
+        def no_run(**kwargs):
+            raise AssertionError("the path is checked before the simulation runs")
+
+        monkeypatch.setattr("qwdr.cli.run_simulation", no_run)
         assert main(["run", path, "--slots", "50", "--out", str(taken)]) == 2
         err = capsys.readouterr().err
         assert "--out: cannot write" in err and str(taken) in err

@@ -12,8 +12,9 @@ destinations. The properties:
   elements of each slot share no node;
 * both per-slot invariants hold over a short run;
 * equal seeds give equal ``metrics.json`` bytes;
-* each flow's ``flow_backlog_slot_sum`` and ``flow_max_backlog`` equal the
-  sum and the maximum of its backlog sampled at the end of every slot.
+* each flow's backlog-slot sum and peak, in the queue ledger and in the
+  ``collect_metrics`` document, equal the sum and the maximum of its backlog
+  sampled at the end of every slot.
 """
 
 import os
@@ -45,6 +46,7 @@ def _graph(kind: str, size: int, seed: int) -> nx.Graph:
         graph = graph.subgraph(max(nx.connected_components(graph), key=len)).copy()
         if graph.number_of_nodes() < 2:  # an isolated draw: fall back to one link
             graph = nx.path_graph(2)
+            nx.set_node_attributes(graph, {0: (0.0, 0.0), 1: (0.5, 0.0)}, "pos")  # scenarios() reads them
     return nx.convert_node_labels_to_integers(graph, first_label=1, ordering="sorted")
 
 

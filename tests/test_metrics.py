@@ -71,10 +71,6 @@ class TestFlowMetrics:
             queues=queues,
             reviews=[],
             queue_samples=[],
-            max_total_queue=1,
-            total_queue_slot_sum=15,
-            flow_max_backlog={2: 1},
-            flow_backlog_slot_sum={2: 15},
             zero_backlog_scheduled=0,
         )
         metrics = collect_metrics(result)["flows"]["2"]
@@ -92,15 +88,13 @@ class TestFlowMetrics:
             queues=QueueMatrix(model),
             reviews=[],
             queue_samples=[],
-            max_total_queue=0,
-            total_queue_slot_sum=0,
-            flow_max_backlog={2: 0},
-            flow_backlog_slot_sum={2: 0},
             zero_backlog_scheduled=0,
         )
-        metrics = collect_metrics(result)["flows"]["2"]
+        doc = collect_metrics(result)
+        metrics = doc["flows"]["2"]
         assert metrics["mean_delay"] is None
         assert metrics["mean_delay_rounded"] is None
+        assert doc["reviews"]["mean_period"] == 0.0
 
     def test_mean_of_two_packets_rounds_half_up(self):
         flows = [FlowSpec(flow_id=2, source=1, route=(1, 2), arrival_rate=0.0)]
@@ -118,10 +112,6 @@ class TestFlowMetrics:
             queues=queues,
             reviews=[],
             queue_samples=[],
-            max_total_queue=1,
-            total_queue_slot_sum=7,
-            flow_max_backlog={2: 1},
-            flow_backlog_slot_sum={2: 7},
             zero_backlog_scheduled=0,
         )
         metrics = collect_metrics(result)["flows"]["2"]

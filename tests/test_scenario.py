@@ -123,6 +123,47 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=r"flows\[1\]\.id: flow id 2 is already flows\[0\]\.id"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param({"extra": 1}, r"^extra: unknown key", id="top-level"),
+            pytest.param({"solver": {"alpah": 1}}, r"^solver\.alpah: unknown key", id="solver"),
+            pytest.param({"channel": {"sigma": 1}}, r"^channel\.sigma: unknown key", id="channel"),
+            pytest.param({"weights": {"a3": 1}}, r"^weights\.a3: unknown key", id="weights"),
+            pytest.param({"review": {"k": 0.1}}, r"^review\.k: unknown key", id="review"),
+            pytest.param({"run": {"slots": 10}}, r"^run\.slots: unknown key", id="run"),
+            pytest.param(
+                {"flows": [{"id": 2, "source": 1, "route": [1, 2], "rate": 1.0, "delay": 5}]},
+                r"^flows\[0\]\.delay: unknown key",
+                id="flow",
+            ),
+            pytest.param(
+                {"nodes": {"1": [0.0, 0.0], "2": [0.5, 0.0], " 2": [0.9, 0.0]}},
+                r"^nodes\. 2: node 2 is already nodes\.2$",
+                id="node-twice",
+            ),
+            pytest.param(
+                {
+                    "nodes": {"1": [0.0, 0.0], "2": [0.5, 0.0], "3": [1.0, 0.0]},
+                    "links": [[1, 2], [2, 3]],
+                    "channel": {"fixed_rates": {"1-2": 4, "2-3": 4, " 1-2": 5}},
+                },
+                r"^channel\.fixed_rates\. 1-2: link \[1, 2\] already has a rate$",
+                id="fixed-rate-twice",
+            ),
+            pytest.param(
+                {"channel": {"fixed_rates": {"1-2": 4, "7-8": 4}}},
+                r"^channel\.fixed_rates\.7-8: no link \[7, 8\] in links$",
+                id="fixed-rate-off-link",
+            ),
+        ],
+    )
+    def test_unknown_key_or_id_given_twice_rejected(self, edit, message):
+        # unchecked, a misspelt setting would run at its default, and a
+        # second spelling of an id would override the first
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict({**minimal_doc(), **edit})
+
     def test_missing_links_rejected(self):
         doc = minimal_doc()
         doc.pop("links")

@@ -13,6 +13,7 @@ from qwdr import (
     SimulationInvariantError,
     SolverConfig,
     WeightConfig,
+    collect_metrics,
     create_schedule,
     make_paper15_scenario,
     next_review_period,
@@ -179,7 +180,7 @@ class TestRun:
         b = run_single_link(1.0, 2.3, horizon=2000, seed=5)
         assert a.queues.delivered == b.queues.delivered
         assert a.queues.delay_sum == b.queues.delay_sum
-        assert a.max_total_queue == b.max_total_queue
+        assert a.queues.total_peak == b.queues.total_peak
         assert [r.total_queue for r in a.reviews] == [r.total_queue for r in b.reviews]
 
     def test_single_link_mean_delay_matches_chain_oracle(self):
@@ -240,7 +241,7 @@ class TestRun:
         res = run(model, channel, arrivals, horizon=20_000)
         assert res.zero_backlog_scheduled == 0
         assert res.queues.delivered_total / res.horizon == pytest.approx(1.5, rel=0.05)
-        assert res.max_total_queue < 200
+        assert res.queues.total_peak < 200
 
     def test_schedule_trace_recorded(self):
         model = single_link_model(1.0)
@@ -260,17 +261,28 @@ def _load_workloads():
 
 
 def assert_flow_statistics_match_samples(result):
-    """Per-flow and total peaks and backlog-slot sums equal the per-slot samples' max and sum."""
+    """Per-flow and total peaks and backlog-slot sums equal the per-slot samples' max and sum.
+
+    Checked twice: in the queue ledger, and in the ``collect_metrics``
+    document built from it.
+    """
     flow_ids = result.model.link_flow_index.flow_ids
-    assert [slot for slot, _, _ in result.queue_samples] == list(range(result.horizon))
+    horizon = result.horizon
+    queues = result.queues
+    sums = queues.flow_backlog_slot_sums(horizon)
+    doc = collect_metrics(result)
+    network, flows = doc["network"], doc["flows"]
+    assert [slot for slot, _, _ in result.queue_samples] == list(range(horizon))
     totals = [total for _, total, _ in result.queue_samples]
-    assert result.max_total_queue == max(totals)
-    assert result.total_queue_slot_sum == sum(totals)
+    assert queues.total_peak == network["max_total_queue"] == max(totals)
+    assert sum(sums.values()) == sum(totals)
+    assert network["avg_total_queue"] == sum(totals) / horizon
     for n, f in enumerate(flow_ids):
         series = [backlogs[n] for _, _, backlogs in result.queue_samples]
-        assert result.flow_backlog_slot_sum[f] == sum(series), f
-        assert result.flow_max_backlog[f] == max(series), f
-    assert list(result.flow_backlog_slot_sum) == list(result.flow_max_backlog) == flow_ids
+        assert sums[f] == sum(series), f
+        assert queues.flow_peak[f] == flows[str(f)]["max_backlog"] == max(series), f
+        assert flows[str(f)]["avg_backlog"] == sum(series) / horizon, f
+    assert list(sums) == list(queues.flow_peak) == flow_ids
 
 
 class TestFlowStatistics:
@@ -311,10 +323,10 @@ class TestFlowStatistics:
         )
         arrivals = ArrivalProcess([(1, 3), (1, 2)], [2.0, 0.0], seed=4)
         result = run(model, fixed_channel(model, 1.5), arrivals, horizon=300, queue_sample_interval=1)
-        assert result.flow_max_backlog[2] == result.flow_backlog_slot_sum[2] == 0
+        assert result.queues.flow_peak[2] == result.queues.flow_backlog_slot_sums(300)[2] == 0
         assert_flow_statistics_match_samples(result)
         empty = NetworkModel(nodes=[1], links=[], flows=[])
         result = run(empty, fixed_channel(empty, 1.0), ArrivalProcess([], []), horizon=5, queue_sample_interval=1)
-        assert result.flow_max_backlog == result.flow_backlog_slot_sum == {}
+        assert result.queues.flow_peak == result.queues.flow_backlog_slot_sums(5) == {}
         assert result.zero_backlog_scheduled == 0
         assert_flow_statistics_match_samples(result)
