@@ -29,15 +29,7 @@ index = model.link_flow_index
 constraints = {n: [index.triples[p] for p in index.members[c]] for c, n in enumerate(index.nodes)}
 print(f"node constraints: {constraints}")
 
-result = qwdr.run(
-    model=model,
-    channel=cfg.build_channel(),
-    arrivals=cfg.build_arrivals(),
-    horizon=cfg.horizon_slots,
-    solver_cfg=cfg.build_solver_config(),
-    weight_cfg=cfg.build_weight_config(),
-    k0=cfg.k0,
-)
+result = cfg.run()
 
 doc = qwdr.collect_metrics(result, cfg)
 m = doc["flows"]["3"]

@@ -18,15 +18,7 @@ SEED = 1
 runs = {}
 for label, row in (("unweighted", 1), ("weighted", 2)):
     cfg = qwdr.make_paper15_scenario(seed=SEED, row=row, horizon=HORIZON)
-    result = qwdr.run(
-        model=cfg.build_model(),
-        channel=cfg.build_channel(),
-        arrivals=cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-    )
+    result = cfg.run()
     runs[label] = qwdr.collect_metrics(result, cfg)
     print(f"{label}: {result.queues.delivered_total} delivered, "
           f"max backlog {result.queues.total_peak}, {len(result.reviews)} reviews")

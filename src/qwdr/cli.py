@@ -17,7 +17,6 @@ import sys
 from .metrics import collect_metrics
 from .oracle import CapacityQuery, SizeError, capacity_membership, mean_rates_from_channel
 from .scenario import ConfigError, load_scenario, make_paper15_scenario
-from .simulate import run as run_simulation
 
 
 def _apply_overrides(cfg, args):
@@ -38,17 +37,7 @@ def _cmd_run(args) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {args.out}: {exc.strerror or exc}") from exc
-    result = run_simulation(
-        model=cfg.build_model(),
-        channel=cfg.build_channel(),
-        arrivals=cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=cfg.queue_sample_interval,
-        record_schedule=cfg.schedule_trace,
-    )
+    result = cfg.run()
     try:
         doc = collect_metrics(result, cfg, out_dir=args.out)
     except OSError as exc:

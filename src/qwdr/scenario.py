@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from . import simulate
 from .network import POISSON_LAM_MAX, FlowSpec, Link, NetworkModel
 from .solver import SolverConfig, WeightConfig
 from .stochastic import ArrivalProcess, ChannelModel
@@ -37,13 +38,15 @@ def _setting(default, section, low=None, strict=False, choices=None, fallback=No
 _KINDS = {"float": float, "int": int, "Optional[int]": int, "str": str, "bool": bool}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario; every field has a concrete value.
 
-    Construction checks every setting against its declaration and builds the
-    model, channel, arrivals, solver and weight configs once, so a config
-    that exists is one that ``run`` can build.
+    The config is frozen. Construction checks every setting against its
+    declaration and builds the model, channel, arrivals, solver and weight
+    configs once; ``build_*`` return those objects and ``run`` simulates with
+    them. Another value makes a new, rechecked config: ``dataclasses.replace``.
+    Runs share those objects, so a config runs on one thread at a time.
     """
 
     name: str
@@ -88,62 +91,69 @@ class ScenarioConfig:
                 raise ConfigError(f"{where}: must be {'>' if meta['strict'] else '>='} {low}, got {value}")
             if meta["choices"] and value not in meta["choices"]:
                 raise ConfigError(f"{where}: expected one of {meta['choices']}, got {value!r}")
-            setattr(self, f.name, value)
+            object.__setattr__(self, f.name, value)
+        coords = self.coordinates or {}
+        nodes = {n for link in self.links for n in link} | set(coords)
         try:
-            self.build_model()
-            self.build_channel()
-            self.build_arrivals()
-            self.build_solver_config()
-            self.build_weight_config()
+            model = NetworkModel(nodes, self.links, self.flows)
+            mean_gain = {}  # gain_scale / d^2 of each link whose nodes have coordinates
+            for (i, j) in self.links:
+                if i in coords and j in coords:
+                    (xi, yi), (xj, yj) = coords[i], coords[j]
+                    d2 = (xi - xj) ** 2 + (yi - yj) ** 2
+                    if d2 <= 0:
+                        raise ValueError(f"nodes: nodes {i} and {j} share coordinates")
+                    mean_gain[(i, j)] = self.gain_scale / d2
+            built = {
+                "_model": model,
+                "_channel": ChannelModel(
+                    links=self.links,
+                    mean_gain=mean_gain,
+                    sigma2=self.sigma2,
+                    truncation_factor=self.truncation_factor,
+                    gain_model=self.gain_model,
+                    seed=self.channel_seed,
+                    fixed_rates=self.fixed_rates,
+                ),
+                "_arrivals": ArrivalProcess(
+                    [(fl.source, fl.flow_id) for fl in self.flows],
+                    [fl.arrival_rate for fl in self.flows],
+                    seed=self.arrival_seed,
+                ),
+                "_solver_cfg": SolverConfig(alpha=self.alpha, cycles=self.cycles, tolerance=self.tolerance),
+                "_weight_cfg": WeightConfig.from_flows(
+                    self.flows, a1=0.0 if self.mode == "unweighted" else self.a1, a2=self.a2
+                ),
+            }
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for name, obj in built.items():
+            object.__setattr__(self, name, obj)
 
-    # -- builders -----------------------------------------------------------
-
-    def build_model(self) -> NetworkModel:
-        nodes = set()
-        for (i, j) in self.links:
-            nodes.add(i)
-            nodes.add(j)
-        if self.coordinates:
-            nodes.update(self.coordinates)
-        return NetworkModel(nodes, self.links, self.flows)
-
-    def link_mean_gains(self) -> dict[Link, float]:
-        """Mean power gain gain_scale / d^2 of each link whose nodes have coordinates."""
-        coords = self.coordinates or {}
-        gains = {}
-        for (i, j) in self.links:
-            if i in coords and j in coords:
-                (xi, yi), (xj, yj) = coords[i], coords[j]
-                d2 = (xi - xj) ** 2 + (yi - yj) ** 2
-                if d2 <= 0:
-                    raise ConfigError(f"nodes: nodes {i} and {j} share coordinates")
-                gains[(i, j)] = self.gain_scale / d2
-        return gains
-
-    def build_channel(self) -> ChannelModel:
-        return ChannelModel(
-            links=self.links,
-            mean_gain=self.link_mean_gains(),
-            sigma2=self.sigma2,
-            truncation_factor=self.truncation_factor,
-            gain_model=self.gain_model,
-            seed=self.channel_seed,
-            fixed_rates=self.fixed_rates,
+    def run(self) -> simulate.RunResult:
+        """Simulate this scenario for ``horizon_slots`` slots."""
+        return simulate.run(
+            self._model, self._channel, self._arrivals, self.horizon_slots,
+            solver_cfg=self._solver_cfg, weight_cfg=self._weight_cfg, k0=self.k0,
+            queue_sample_interval=self.queue_sample_interval, record_schedule=self.schedule_trace,
         )
 
+    # -- builders: the objects built at construction ------------------------
+
+    def build_model(self) -> NetworkModel:
+        return self._model
+
+    def build_channel(self) -> ChannelModel:
+        return self._channel
+
     def build_arrivals(self) -> ArrivalProcess:
-        sources = [(fl.source, fl.flow_id) for fl in self.flows]
-        rates = [fl.arrival_rate for fl in self.flows]
-        return ArrivalProcess(sources, rates, seed=self.arrival_seed)
+        return self._arrivals
 
     def build_weight_config(self) -> WeightConfig:
-        a1 = 0.0 if self.mode == "unweighted" else self.a1
-        return WeightConfig.from_flows(self.flows, a1=a1, a2=self.a2)
+        return self._weight_cfg
 
     def build_solver_config(self) -> SolverConfig:
-        return SolverConfig(alpha=self.alpha, cycles=self.cycles, tolerance=self.tolerance)
+        return self._solver_cfg
 
     # -- (de)serialization ---------------------------------------------------
 

@@ -56,21 +56,6 @@ def report(number, name, passed, detail):
 # -- shared heavyweight fixtures ---------------------------------------------
 
 
-def _run_scenario(cfg, **overrides):
-    kwargs = dict(
-        model=cfg.build_model(),
-        channel=cfg.build_channel(),
-        arrivals=cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=cfg.queue_sample_interval,
-    )
-    kwargs.update(overrides)
-    return run(**kwargs)
-
-
 @pytest.fixture(scope="module")
 def paper15_run():
     """One full-horizon weighted run of the 15-node preset, seed 1 (criteria 3 and 9).
@@ -79,7 +64,7 @@ def paper15_run():
     """
     cfg = make_paper15_scenario(seed=1, row=2)
     start = time.perf_counter()
-    result = _run_scenario(cfg)
+    result = cfg.run()
     elapsed = time.perf_counter() - start
     return cfg, result, elapsed
 
@@ -97,7 +82,7 @@ def _sweep_run(seed, row):
     """One fresh sweep run in a worker process: its figures and its own wall time."""
     cfg = make_paper15_scenario(seed=seed, row=row)
     start = time.perf_counter()
-    result = _run_scenario(cfg)
+    result = cfg.run()
     elapsed = time.perf_counter() - start
     return _sweep_figures(result), elapsed
 
@@ -512,7 +497,7 @@ def test_criterion_8_byte_identical_outputs(tmp_path):
     docs = []
     for sub in ("a", "b"):
         cfg = make_paper15_scenario(seed=7, row=2, horizon=20_000)
-        result = _run_scenario(cfg)
+        result = cfg.run()
         out = tmp_path / sub
         collect_metrics(result, cfg, out_dir=str(out))
         docs.append((out / "metrics.json").read_bytes())

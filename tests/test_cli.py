@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qwdr import ScenarioConfig
 from qwdr.cli import main
 from conftest import BAD_FIELDS, set_field
 
@@ -98,10 +99,10 @@ class TestRun:
         taken = tmp_path / "taken"
         taken.write_text("")
 
-        def no_run(**kwargs):
+        def no_run(cfg):
             raise AssertionError("the path is checked before the simulation runs")
 
-        monkeypatch.setattr("qwdr.cli.run_simulation", no_run)
+        monkeypatch.setattr(ScenarioConfig, "run", no_run)
         assert main(["run", path, "--slots", "50", "--out", str(taken)]) == 2
         err = capsys.readouterr().err
         assert "--out: cannot write" in err and str(taken) in err

@@ -17,6 +17,7 @@ destinations. The properties:
   sampled at the end of every slot.
 """
 
+import dataclasses
 import os
 import random
 import tempfile
@@ -26,7 +27,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwdr import QueueMatrix, collect_metrics, create_schedule, run, scenario_from_dict, solve_allocation
+from qwdr import QueueMatrix, collect_metrics, create_schedule, scenario_from_dict, solve_allocation
 from qwdr.simulate import FEASIBILITY_TOL
 from test_simulate import assert_flow_statistics_match_samples
 
@@ -154,27 +155,13 @@ def test_allocation_and_schedule_feasible(doc, seed, period):
         assert len(ends) == len(set(ends))
 
 
-def _run(cfg):
-    return run(
-        cfg.build_model(),
-        cfg.build_channel(),
-        cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=cfg.queue_sample_interval,
-        record_schedule=cfg.schedule_trace,
-    )
-
-
 @settings(max_examples=50, deadline=None)
 @given(scenarios())
 def test_short_runs_keep_invariants_and_repeat_bytes(doc):
     cfg = scenario_from_dict(doc)
     digests = []
     for _ in range(2):
-        result = _run(cfg)  # step_slot checks both invariants in every slot
+        result = cfg.run()  # step_slot checks both invariants in every slot
         result.queues.verify_balance(cfg.horizon_slots)
         busy = set()
         for slot, i, j, _ in result.schedule_trace:
@@ -190,15 +177,5 @@ def test_short_runs_keep_invariants_and_repeat_bytes(doc):
 @settings(max_examples=50, deadline=None)
 @given(scenarios())
 def test_flow_statistics_equal_per_slot_samples(doc):
-    cfg = scenario_from_dict(doc)
-    result = run(
-        cfg.build_model(),
-        cfg.build_channel(),
-        cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=1,
-    )
+    result = dataclasses.replace(scenario_from_dict(doc), queue_sample_interval=1).run()
     assert_flow_statistics_match_samples(result)

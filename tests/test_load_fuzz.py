@@ -17,7 +17,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qwdr import ConfigError, collect_metrics, run, scenario_from_dict
+from qwdr import ConfigError, collect_metrics, scenario_from_dict
 
 BASE = {
     "name": "tandem",
@@ -71,17 +71,7 @@ def check_load_and_run(mutations):
     except ConfigError:
         return
     cfg = dataclasses.replace(cfg, horizon_slots=5, cycles=min(cfg.cycles, 15))
-    result = run(
-        cfg.build_model(),
-        cfg.build_channel(),
-        cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=cfg.queue_sample_interval,
-    )
-    doc = collect_metrics(result, cfg)
+    doc = collect_metrics(cfg.run(), cfg)
     net = doc["network"]
     assert net["injected"] == net["delivered"] + net["in_flight"]
     json.dumps(doc, allow_nan=False)

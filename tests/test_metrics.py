@@ -9,7 +9,6 @@ from qwdr import (
     NetworkModel,
     collect_metrics,
     compare_runs,
-    run,
     scenario_from_dict,
 )
 from qwdr.metrics import round_half_away_from_zero
@@ -40,19 +39,6 @@ def tiny_scenario(mode="qwdr", seed=5, horizon=4000, target=None):
             "channel": {"fixed_rates": 2.2},
             "run": {"horizon_slots": horizon, "seed": seed, "mode": mode},
         }
-    )
-
-
-def run_scenario(cfg):
-    return run(
-        model=cfg.build_model(),
-        channel=cfg.build_channel(),
-        arrivals=cfg.build_arrivals(),
-        horizon=cfg.horizon_slots,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=cfg.queue_sample_interval,
     )
 
 
@@ -122,7 +108,7 @@ class TestFlowMetrics:
 class TestCollectMetrics:
     def test_files_written(self, tmp_path):
         cfg = tiny_scenario()
-        doc = collect_metrics(run_scenario(cfg), cfg, out_dir=str(tmp_path))
+        doc = collect_metrics(cfg.run(), cfg, out_dir=str(tmp_path))
         for name in ("metrics.json", "delays.csv", "queues.csv", "reviews.csv"):
             assert (tmp_path / name).exists()
         on_disk = json.loads((tmp_path / "metrics.json").read_text())
@@ -132,7 +118,7 @@ class TestCollectMetrics:
 
     def test_config_echo_complete(self, tmp_path):
         cfg = tiny_scenario()
-        doc = collect_metrics(run_scenario(cfg), cfg, out_dir=str(tmp_path))
+        doc = collect_metrics(cfg.run(), cfg, out_dir=str(tmp_path))
         echoed = doc["config"]
         for section in ("channel", "solver", "weights", "review", "run"):
             assert section in echoed
@@ -141,8 +127,8 @@ class TestCollectMetrics:
 
     def test_byte_identical_across_runs(self, tmp_path):
         cfg = tiny_scenario()
-        collect_metrics(run_scenario(cfg), cfg, out_dir=str(tmp_path / "a"))
-        collect_metrics(run_scenario(tiny_scenario()), tiny_scenario(), out_dir=str(tmp_path / "b"))
+        collect_metrics(cfg.run(), cfg, out_dir=str(tmp_path / "a"))
+        collect_metrics(tiny_scenario().run(), tiny_scenario(), out_dir=str(tmp_path / "b"))
         assert (tmp_path / "a/metrics.json").read_bytes() == (tmp_path / "b/metrics.json").read_bytes()
         assert (tmp_path / "a/queues.csv").read_bytes() == (tmp_path / "b/queues.csv").read_bytes()
 
@@ -150,7 +136,7 @@ class TestCollectMetrics:
 class TestCompareRuns:
     def test_identical_runs_unit_ratios(self):
         cfg = tiny_scenario()
-        doc = collect_metrics(run_scenario(cfg), cfg)
+        doc = collect_metrics(cfg.run(), cfg)
         report = compare_runs(doc, copy.deepcopy(doc))
         for row in report["flows"].values():
             assert row["ratio"] == pytest.approx(1.0)
@@ -158,8 +144,8 @@ class TestCompareRuns:
     def test_target_met_flag(self):
         cfg_u = tiny_scenario(mode="unweighted", target=200.0)
         cfg_w = tiny_scenario(mode="qwdr", target=200.0)
-        base = collect_metrics(run_scenario(cfg_u), cfg_u)
-        weighted = collect_metrics(run_scenario(cfg_w), cfg_w)
+        base = collect_metrics(cfg_u.run(), cfg_u)
+        weighted = collect_metrics(cfg_w.run(), cfg_w)
         report = compare_runs(base, weighted)
         row = report["flows"]["2"]
         assert row["target"] == 200.0
@@ -168,7 +154,7 @@ class TestCompareRuns:
     def test_scenario_mismatch_rejected(self):
         cfg_a = tiny_scenario(seed=5)
         cfg_b = tiny_scenario(seed=6)
-        doc_a = collect_metrics(run_scenario(cfg_a), cfg_a)
-        doc_b = collect_metrics(run_scenario(cfg_b), cfg_b)
+        doc_a = collect_metrics(cfg_a.run(), cfg_a)
+        doc_b = collect_metrics(cfg_b.run(), cfg_b)
         with pytest.raises(ValueError, match="different scenarios"):
             compare_runs(doc_a, doc_b)

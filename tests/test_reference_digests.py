@@ -2,11 +2,13 @@
 
 ``perfbench/references.json`` pins the sha256 of ``metrics.json`` for every
 benchmark workload and seed. This test rebuilds seeds 0 and 1 of each
-workload exactly as a benchmark run process does (``perfbench/one_run.py``):
-the spec from ``perfbench/workloads.make_spec``, passed through JSON, the
-scenario and configs from it, one ``run()`` at the workload's horizon and
-``collect_metrics`` into a directory. Any drift in the simulator's output
-then fails here, not only in the benchmark. ``perfbench/`` is only read.
+workload as a benchmark run process does (``perfbench/one_run.py``): the
+spec from ``perfbench/workloads.make_spec``, passed through JSON, the
+scenario from it, one run at the workload's horizon and ``collect_metrics``
+into a directory. The run goes through ``ScenarioConfig.run``, which makes
+the same ``run()`` call as the run process. Any drift in the simulator's
+output then fails here, not only in the benchmark. ``perfbench/`` is only
+read.
 """
 
 import hashlib
@@ -44,16 +46,6 @@ def test_metrics_digest_matches_reference(name, seed, tmp_path):
     else:
         cfg = qwdr.scenario_from_dict(spec["doc"])
     assert cfg.horizon_slots == horizon
-    result = qwdr.run(
-        cfg.build_model(),
-        cfg.build_channel(),
-        cfg.build_arrivals(),
-        horizon=horizon,
-        solver_cfg=cfg.build_solver_config(),
-        weight_cfg=cfg.build_weight_config(),
-        k0=cfg.k0,
-        queue_sample_interval=cfg.queue_sample_interval,
-    )
-    qwdr.collect_metrics(result, cfg, out_dir=str(tmp_path))
+    qwdr.collect_metrics(cfg.run(), cfg, out_dir=str(tmp_path))
     digest = hashlib.sha256((tmp_path / "metrics.json").read_bytes()).hexdigest()
     assert digest == reference["digests"][str(seed)]

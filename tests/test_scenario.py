@@ -1,9 +1,17 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
-from qwdr import ConfigError, ScenarioConfig, load_scenario, make_paper15_scenario, run, scenario_from_dict
+from qwdr import (
+    ConfigError,
+    ScenarioConfig,
+    collect_metrics,
+    load_scenario,
+    make_paper15_scenario,
+    scenario_from_dict,
+)
 from qwdr.cli import main
 from conftest import BAD_FIELDS, set_field
 
@@ -28,8 +36,6 @@ class TestLoadScenario:
         assert cfg.cycles == 15
         assert cfg.mode == "qwdr"
         assert cfg.channel_seed == cfg.seed
-        cfg.build_channel()
-        cfg.build_arrivals()
 
     def test_route_through_missing_link_names_the_hop(self):
         doc = minimal_doc()
@@ -86,16 +92,8 @@ class TestLoadScenario:
         doc["nodes"]["3"] = [1.0, 0.0]
         doc["links"] = [[1, 2], [2, 3]]
         doc["flows"].append({"id": 3, "route": [1, 2, 3], "source": 1, "rate": 0.0, "delay_target": 50})
-        doc["run"] = {"mode": mode}
-        cfg = scenario_from_dict(doc)
-        result = run(
-            cfg.build_model(),
-            cfg.build_channel(),
-            cfg.build_arrivals(),
-            horizon=5,
-            solver_cfg=cfg.build_solver_config(),
-            weight_cfg=cfg.build_weight_config(),
-        )
+        doc["run"] = {"mode": mode, "horizon_slots": 5}
+        result = scenario_from_dict(doc).run()
         assert result.queues.delivered[3] == 0
         assert result.queues.injected == result.queues.delivered_total + result.queues.total
 
@@ -278,6 +276,18 @@ class TestPaper15Preset:
     def test_invalid_row(self):
         with pytest.raises(ConfigError):
             make_paper15_scenario(row=9)
+
+    def test_frozen_config_runs_alike_every_time(self):
+        # 1 200 slots cross the arrivals' 512-slot block, so the second run of
+        # ``cfg`` starts with the arrival and channel caches its first run left
+        cfg = make_paper15_scenario(row=2, horizon=1200)
+        twin = make_paper15_scenario(row=2, horizon=1200)
+        first, second, fresh = (collect_metrics(c.run(), c) for c in (cfg, cfg, twin))
+        assert first == second == fresh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon_slots = 600
+        with pytest.raises(ConfigError, match=r"^run\.horizon_slots: "):
+            dataclasses.replace(cfg, horizon_slots=0)
 
     def test_routes_use_existing_links(self):
         cfg = make_paper15_scenario()

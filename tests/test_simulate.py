@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -217,7 +218,6 @@ class TestRun:
 
     def test_throughput_approaches_rate_in_stable_run(self):
         res = run_single_link(1.0, 2.2, horizon=40_000)
-        second_half = res.queues.delivered_total - res.queues.injected + res.queues.total
         # delivered / slot over the whole run within 2% of the arrival rate
         assert res.queues.delivered_total / res.horizon == pytest.approx(1.0, rel=0.02)
 
@@ -297,16 +297,7 @@ class TestFlowStatistics:
         else:
             spec["doc"]["run"]["horizon_slots"] = horizon
             cfg = scenario_from_dict(spec["doc"])
-        result = run(
-            cfg.build_model(),
-            cfg.build_channel(),
-            cfg.build_arrivals(),
-            horizon=cfg.horizon_slots,
-            solver_cfg=cfg.build_solver_config(),
-            weight_cfg=cfg.build_weight_config(),
-            k0=cfg.k0,
-            queue_sample_interval=1,
-        )
+        result = dataclasses.replace(cfg, queue_sample_interval=1).run()
         assert result.horizon == horizon
         assert result.queues.delivered_total > 0 and result.queues.total > 0
         assert_flow_statistics_match_samples(result)
