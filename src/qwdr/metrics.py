@@ -99,30 +99,29 @@ def collect_metrics(
 
 
 def _scenario_signature(doc: dict) -> dict:
-    # everything that must coincide for a fair comparison: topology, traffic,
-    # channel, horizon and seeds -- but not weight settings (mode, targets)
-    cfg = doc.get("config") or {}
-    run_doc = dict(cfg.get("run", {}))
-    run_doc.pop("mode", None)
-    flows = [
-        {k: fd.get(k) for k in ("id", "source", "route", "rate")}
-        for fd in cfg.get("flows", [])
+    # the whole config echo, which must coincide for a fair comparison, less
+    # the weight settings (the weights section, the mode, each flow's target
+    # and weighting switch) and the free-form name and metadata
+    if doc.get("config") is None:
+        raise ValueError("a run collected without its scenario has no config echo to compare")
+    cfg = dict(doc["config"])
+    for key in ("weights", "name", "metadata"):
+        cfg.pop(key, None)
+    cfg["run"] = {k: v for k, v in cfg["run"].items() if k != "mode"}
+    cfg["flows"] = [
+        {k: v for k, v in fd.items() if k not in ("delay_target", "weight_enabled")}
+        for fd in cfg["flows"]
     ]
-    return {
-        "nodes": cfg.get("nodes"),
-        "links": cfg.get("links"),
-        "flows": flows,
-        "channel": cfg.get("channel"),
-        "run": run_doc,
-    }
+    return cfg
 
 
 def compare_runs(baseline: dict, weighted: dict) -> dict:
     """Per-flow delay change of a weighted run against its unweighted twin.
 
-    Both documents must come from the same scenario and seeds, differing only
-    in weight settings. Flows with a delay target are additionally flagged
-    as meeting or missing it.
+    Both documents must come from the same scenario, solver, review clock and
+    seeds, differing only in weight settings, and each must carry its config
+    echo (``collect_metrics`` given the scenario). Flows with a delay target
+    are additionally flagged as meeting or missing it.
     """
     if _scenario_signature(baseline) != _scenario_signature(weighted):
         raise ValueError("runs compare different scenarios or seeds")

@@ -7,10 +7,11 @@ enumerates active sets, and the capacity check enumerates interference-free
 activation sets. All three raise ``SizeError`` beyond their stated
 enumeration scale instead of silently approximating. The corrected
 alternating scheme for a pair of halfspaces is the iterative reference of
-the solver's closed-form pair projection, and the stepwise allocation takes
-every step that ``solve_allocation`` skips. The constraint type, the single
-and pair projections and the objective serve these references and the
-tests.
+the solver's closed-form pair projection. The stepwise allocation runs the
+solver's own projecting loop, and checks ``solve_allocation``'s shortcuts
+around it: the calm fast path, the live-element gradients and finalization
+over the stepped elements. The constraint type, the single and pair
+projections and the objective serve these references and the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .network import NetworkModel, QueueSnapshot
-from .solver import TOLERANCE, SolverConfig, WeightConfig, _finalize, _pair_multipliers, weight
+from .solver import TOLERANCE, SolverConfig, WeightConfig, weight
+from .solver import _finalize, _pair_multipliers, _project_cycles
 from .stochastic import ChannelState
 
 
@@ -261,19 +263,17 @@ def stepwise_allocation(
     solver_cfg: Optional[SolverConfig] = None,
     weight_cfg: Optional[WeightConfig] = None,
 ) -> np.ndarray:
-    """Stepwise reference of ``solve_allocation``: all cycles * K steps in turn.
+    """Stepwise reference of ``solve_allocation``'s shortcuts.
 
-    Reads each gradient through the link map and the numpy differentials, then
-    visits every element in every cycle, g <= 0 ones included, and projects
-    after each bump whenever an endpoint constraint is violated. It returns
-    the bits ``solve_allocation`` returns.
+    Reads every element's gradient through the link map and the numpy
+    differentials, steps every element with g > 0 in every cycle, with no
+    calm fast path, and finalizes over its own list of those elements. The
+    projecting loop is the solver's ``_project_cycles``. It returns the bits
+    ``solve_allocation`` returns.
     """
     cfg = solver_cfg or SolverConfig()
     wcfg = weight_cfg or WeightConfig()
     index = model.link_flow_index
-    K = index.size
-    if K == 0:
-        return np.zeros(0)
     w = {
         fl.flow_id: weight(snapshot.flow_backlogs.get(fl.flow_id, 0), wcfg.thresholds.get(fl.flow_id), wcfg)
         for fl in model.flows
@@ -284,46 +284,9 @@ def stepwise_allocation(
         w[f] * float(snapshot.differentials[pos]) * rates[link_pos[(i, j)]]
         for pos, (i, j, f) in enumerate(index.triples)
     ]
-    if not any(gk > 0 for gk in glist):
-        return np.zeros(K)
-
-    s = [0.0] * K
-    consum = [0.0] * len(index.members)
-    members = index.members
-    sizes = index.sizes
-    eca, ecb = index.elem_ca, index.elem_cb
-    eover, esame = index.elem_overlap, index.elem_same
-    alpha = cfg.alpha
-    tol = cfg.tolerance
-    pair = _pair_multipliers
-
-    def sub(mlist, lam):
-        for m in mlist:
-            s[m] -= lam
-            consum[eca[m]] -= lam
-            consum[ecb[m]] -= lam
-
-    total_steps = cfg.cycles * K
-    for step in range(total_steps):
-        k = step % K
-        gk = glist[k]
-        if gk > 0.0:
-            a = eca[k]
-            b = ecb[k]
-            d = alpha * gk
-            s[k] += d
-            consum[a] += d
-            consum[b] += d
-            ea = consum[a] - 1.0
-            eb = consum[b] - 1.0
-            if ea > tol or eb > tol:
-                la, lb = pair(ea, eb, sizes[a], sizes[b], eover[k], esame[k], tol)
-                if la:
-                    sub(members[a], la)
-                if lb:
-                    sub(members[b], lb)
-    candidates = [k for k in range(K) if glist[k] > 0.0]
-    return _finalize(candidates, s, index)
+    candidates = [k for k, gk in enumerate(glist) if gk > 0.0]
+    steps = [(k, index.elem_ca[k], index.elem_cb[k], cfg.alpha * glist[k]) for k in candidates]
+    return _finalize(candidates, _project_cycles(steps, cfg.cycles, index, cfg.tolerance), index)
 
 
 def enumerate_activation_sets(model: NetworkModel, max_sets: int = 200_000):

@@ -37,8 +37,10 @@ scheme it is the limit of, Boyle-Dykstra corrected alternation, is kept as a
 test reference in ``oracle.alternating_projection_pair``.
 
 Only the steps that can change the iterate are taken; the result is
-bit-identical to taking all cycles * K of them, as the reference
-``oracle.stepwise_allocation`` does:
+bit-identical to taking all cycles * K of them. The stepwise reference
+``oracle.stepwise_allocation`` runs the same projecting loop,
+``_project_cycles``, so it checks the shortcuts below, which lie around that
+loop; ``TestSolverStepIsProjectPair`` checks the loop against ``project_pair``:
 
 * A step whose element has g <= 0 changes nothing, so each cycle visits only
   the elements with g > 0, in position order. The arithmetic is the same
@@ -219,14 +221,15 @@ def solve_allocation(
 
     The result of cycles * K incremental gradient steps: bump one element,
     then project onto the (at most two) violated endpoint-node constraints,
-    with the kernel ``oracle.project_pair`` uses. The step does not enforce s >= 0
-    (see the module docstring), so the raw iterate can go negative.
+    with the kernel ``oracle.project_pair`` uses. The step does not enforce
+    s >= 0 (see the module docstring), so the raw iterate can go negative.
     Finalization clamps negatives and rescales any node whose incident sum
     exceeds 1; every element whose differential backlog was zero at the
     review instant gets 0. All-zero backlog short-circuits to the zero
-    vector. Only the steps that can change the iterate are taken (see the
-    module docstring); ``oracle.stepwise_allocation`` takes every step and
-    returns the same bits.
+    vector. Only the steps that can change the iterate are taken, and a calm
+    instance skips the projecting loop ``_project_cycles`` (see the module
+    docstring); ``oracle.stepwise_allocation`` runs the same loop from every
+    element's gradient, with no fast path, and returns the same bits.
     """
     cfg = solver_cfg or SolverConfig()
     wcfg = weight_cfg or WeightConfig()
@@ -243,8 +246,7 @@ def solve_allocation(
         return np.zeros(K)
     stepped = [k for k, a, b, d in steps]
 
-    members = index.members
-    per_cycle = [0.0] * len(members)  # what one cycle adds to each node's sum
+    per_cycle = [0.0] * len(index.members)  # what one cycle adds to each node's sum
     for k, a, b, d in steps:
         per_cycle[a] += d
         per_cycle[b] += d
@@ -261,14 +263,26 @@ def solve_allocation(
         out = np.zeros(K)
         out[stepped] = x
         return out
+    return _finalize(stepped, _project_cycles(steps, cycles, index, cfg.tolerance), index)
 
+
+def _project_cycles(
+    steps: list[tuple[int, int, int, float]], cycles: int, index: LinkFlowIndex, tol: float
+) -> list[float]:
+    """The raw iterate after ``cycles`` passes over ``steps``, from zero.
+
+    Each step ``(k, a, b, d)`` bumps element k by d, then projects onto its
+    endpoint constraints a and b when either one is violated by more than
+    ``tol``, with the kernel ``oracle.project_pair`` uses.
+    """
     # flat state with incrementally maintained constraint sums; every element
     # belongs to exactly two constraints, so one coordinate change updates two
-    s = [0.0] * K
+    members = index.members
+    s = [0.0] * index.size
     consum = [0.0] * len(members)
     sizes = index.sizes
+    eca, ecb = index.elem_ca, index.elem_cb
     eover, esame = index.elem_overlap, index.elem_same
-    tol = cfg.tolerance
     pair = _pair_multipliers
 
     def sub(mlist, lam):
@@ -290,7 +304,7 @@ def solve_allocation(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
-    return _finalize(stepped, s, index)
+    return s
 
 
 def _finalize(stepped: list[int], s: list[float], index: LinkFlowIndex) -> np.ndarray:

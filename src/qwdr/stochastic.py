@@ -114,9 +114,17 @@ class ChannelModel:
         }
         self._fixed_rates: Optional[np.ndarray] = None  # every draw's rates on a fixed channel
         if fixed_rates is not None:
+            if not isinstance(fixed_rates, dict):
+                raise ValueError("fixed_rates: expected a map of link -> rate")
+            missing = [l for l in self.links if l not in fixed_rates]
+            if missing:
+                raise ValueError(f"fixed_rates: no rate for links {missing}")
+            unknown = [l for l in fixed_rates if l not in self.positions]
+            if unknown:
+                raise ValueError(f"fixed_rates: rates for links {unknown} that are not in links")
             self._fixed_rates = np.array([float(fixed_rates[l]) for l in self.links])
             if not np.all(self._fixed_rates >= 0):
-                raise ValueError("fixed rates must be >= 0")
+                raise ValueError("fixed_rates: rates must be >= 0")
             # a run reads only the fixed rates; the back-computed gain is inf above rate ~709
             with np.errstate(over="ignore"):
                 self.mean_gain = np.expm1(self._fixed_rates) * self.sigma2

@@ -1,9 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qwdr import ChannelModel, FlowSpec, NetworkModel, QueueMatrix
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # (section, field, rejected value) of a scenario document, where the section
 # "flows[0]" is the first flow; loading must name "section.field" in its
@@ -75,6 +79,14 @@ def queues_with(model, lengths, slot=0):
     for (node, flow), count in lengths.items():
         queues.add_arrivals(node, flow, count, slot)
     return queues
+
+
+def load_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

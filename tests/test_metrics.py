@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -158,3 +159,20 @@ class TestCompareRuns:
         doc_b = collect_metrics(cfg_b.run(), cfg_b)
         with pytest.raises(ValueError, match="different scenarios"):
             compare_runs(doc_a, doc_b)
+        # a solver or review setting is not a weight setting either
+        base = tiny_scenario(horizon=300)
+        doc = collect_metrics(base.run(), base)
+        for change in ({"k0": 0.5}, {"cycles": 3}, {"alpha": 1e-3}):
+            cfg = dataclasses.replace(base, **change)
+            with pytest.raises(ValueError, match="different scenarios"):
+                compare_runs(doc, collect_metrics(cfg.run(), cfg))
+        # without the config echo nothing shows that the scenarios agree
+        bare = collect_metrics(base.run())
+        with pytest.raises(ValueError, match="no config echo"):
+            compare_runs(bare, copy.deepcopy(bare))
+
+    def test_weight_setting_difference_accepted(self):
+        base = tiny_scenario(horizon=300)
+        cfg = dataclasses.replace(base, a2=3.0)
+        report = compare_runs(collect_metrics(base.run(), base), collect_metrics(cfg.run(), cfg))
+        assert set(report["flows"]) == {"2"}

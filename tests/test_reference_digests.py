@@ -12,25 +12,14 @@ read.
 """
 
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 import qwdr
+from conftest import PERFBENCH, load_workloads
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_workloads()
+workloads = load_workloads()
 REFERENCES = json.loads((PERFBENCH / "references.json").read_text())
 
 

@@ -194,6 +194,21 @@ class TestLoadScenario:
         state = cfg.build_channel().draw(0)
         assert state.rates[state.positions[(1, 2)]] == 3.0
 
+    def test_bad_fixed_rates_rejected_on_the_library_path(self):
+        # a scenario file gets these from its own loader; a config built in
+        # code gets them from the channel
+        cfg = make_paper15_scenario(horizon=50)
+        with pytest.raises(ConfigError, match=r"^fixed_rates: no rate for links \[\(1, 3\)"):
+            dataclasses.replace(cfg, fixed_rates={(1, 2): 3.0})
+        with pytest.raises(ConfigError, match=r"^fixed_rates: expected a map"):
+            dataclasses.replace(cfg, fixed_rates=3.0)
+        rates = {link: 3.0 for link in cfg.links}
+        with pytest.raises(ConfigError, match=r"^fixed_rates: rates must be >= 0"):
+            dataclasses.replace(cfg, fixed_rates={**rates, (1, 2): -1.0})
+        with pytest.raises(ConfigError, match=r"^fixed_rates: .*\(99, 98\)"):
+            dataclasses.replace(cfg, fixed_rates={**rates, (99, 98): 3.0})
+        assert dataclasses.replace(cfg, fixed_rates=rates).build_channel().gain_model == "fixed"
+
     def test_unweighted_mode_forces_unit_weights(self):
         doc = minimal_doc()
         doc["flows"][0]["delay_target"] = 50.0

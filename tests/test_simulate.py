@@ -1,7 +1,5 @@
 import dataclasses
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from qwdr import (
     scenario_from_dict,
     step_slot,
 )
-from conftest import fixed_channel, queues_with, tandem_model
+from conftest import fixed_channel, load_workloads, queues_with, tandem_model
 
 
 class TestNextReviewPeriod:
@@ -252,14 +250,6 @@ class TestRun:
         assert all(len(row) == 4 for row in res.schedule_trace)
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def assert_flow_statistics_match_samples(result):
     """Per-flow and total peaks and backlog-slot sums equal the per-slot samples' max and sum.
 
@@ -290,7 +280,7 @@ class TestFlowStatistics:
 
     @pytest.mark.parametrize("name, horizon", [("paper15-row2", 600), ("grid-review", 120), ("chain-overload", 600)])
     def test_benchmark_workloads(self, name, horizon):
-        workloads = _load_workloads()
+        workloads = load_workloads()
         spec = workloads.make_spec(name, 3)
         if "preset" in spec:
             cfg = make_paper15_scenario(**{**spec["preset"], "horizon": horizon})

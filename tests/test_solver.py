@@ -445,7 +445,14 @@ def stepwise_instances(draw):
 
 
 class TestSolveMatchesStepwise:
-    """``solve_allocation`` skips steps yet returns the stepwise reference's bits."""
+    """``solve_allocation``'s shortcuts return the stepwise reference's bits.
+
+    Both run the same projecting loop, ``solver._project_cycles``, which
+    ``TestSolverStepIsProjectPair`` checks against a ``project_pair`` loop.
+    This class checks what lies around it: the calm fast path, the gradients
+    read over the live elements only, and finalization over the stepped
+    elements only.
+    """
 
     @settings(max_examples=400, deadline=None)
     @given(instance=stepwise_instances())
