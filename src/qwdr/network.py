@@ -11,7 +11,8 @@ Queue state is kept in packet batches: each (node, flow) FIFO holds
 ``[arrival_slot, count]`` entries, one per source arrival slot still
 present, so the cost of moving packets grows with batches, not packets.
 Queues, lengths and the arrival/service ledger are flat lists indexed by
-element position.
+element position, and the slot engine moves and enqueues packets by
+position: ``transfer(p, ...)`` and ``add_arrivals(q, ...)``.
 """
 
 from __future__ import annotations
@@ -211,8 +212,11 @@ class QueueMatrix:
     recorded.
 
     Queues take their positions and wiring from the model's element table
-    (``LinkFlowIndex``): queue (i, f) sits at the position of the one element
-    that serves it, (i, next hop, f). Each queue keeps its length
+    (``LinkFlowIndex``, kept as ``index``): queue (i, f) sits at the position
+    ``index.queue[(i, f)]`` of the one element that serves it, (i, next hop,
+    f). ``transfer`` and ``add_arrivals`` take these positions and read the
+    flow from a per-position list; ``length``, ``arrived`` and ``served``
+    read the ledger by node and flow ids. Each queue keeps its length
     in a counter that the batch operations update by the packets they move;
     cumulative arrival (per queue) and service (per element) counters back
     the exact queue-balance check. Each flow's backlog (``flow_backlog``) and
@@ -221,14 +225,11 @@ class QueueMatrix:
     """
 
     def __init__(self, model: NetworkModel):
-        index = model.link_flow_index
-        self.triples = index.triples
+        self.index = index = model.link_flow_index
         size = index.size
         self._size = size
-        self._pos = index.positions
-        self._queue = index.queue
+        self._flow = [f for _, _, f in index.triples]
         self._down = index.down
-        self._ledger = index.ledger
         self._fifo: list[deque] = [deque() for _ in range(size)]
         # the spare last entry is the destination's length and the served
         # count of the missing upstream element at a flow source: both stay 0
@@ -250,7 +251,7 @@ class QueueMatrix:
     def length(self, i: int, f: int) -> int:
         if i == f:
             return 0  # destination queue is always empty
-        p = self._queue.get((i, f))
+        p = self.index.queue.get((i, f))
         if p is None:
             raise KeyError(f"no queue for node {i}, flow {f}")
         return self._len[p]
@@ -265,28 +266,29 @@ class QueueMatrix:
         batches. Valid for a run from slot 0 whose last slot is end - 1.
         """
         sums = dict(self.delay_sum)
-        for (_, _, f), fifo in zip(self.triples, self._fifo):
+        for f, fifo in zip(self._flow, self._fifo):
             for arrival, count in fifo:
                 sums[f] += count * (end - arrival)
         return sums
 
     def arrived(self, i: int, f: int) -> int:
-        return self._arrived[self._queue[(i, f)]]
+        return self._arrived[self.index.queue[(i, f)]]
 
     def served(self, i: int, j: int, f: int) -> int:
-        return self._served[self._pos[(i, j, f)]]
+        return self._served[self.index.positions[(i, j, f)]]
 
-    def add_arrivals(self, i: int, f: int, count: int, slot: int) -> None:
+    def add_arrivals(self, q: int, count: int, slot: int) -> None:
+        """Enqueue count packets that entered in slot at the queue at position q."""
         if count <= 0:
             return
-        p = self._queue[(i, f)]
-        fifo = self._fifo[p]
+        f = self._flow[q]
+        fifo = self._fifo[q]
         if fifo and fifo[-1][0] == slot:
             fifo[-1][1] += count
         else:
             fifo.append([slot, count])
-        self._len[p] += count
-        self._arrived[p] += count
+        self._len[q] += count
+        self._arrived[q] += count
         backlog = self.flow_backlog[f] + count
         self.flow_backlog[f] = backlog
         if backlog > self.flow_peak[f]:
@@ -297,16 +299,12 @@ class QueueMatrix:
             self.total_peak = total
         self.injected += count
 
-    def transfer(self, i: int, j: int, f: int, max_packets: int, slot: int) -> int:
-        """Move up to max_packets head-of-line packets across element (i,j,f).
+    def transfer(self, p: int, max_packets: int, slot: int) -> int:
+        """Move up to max_packets head-of-line packets across element p.
 
         Packets reaching the destination are recorded as delivered with delay
         = slot - source arrival slot. Returns the number moved.
         """
-        try:
-            p = self._pos[(i, j, f)]
-        except KeyError:
-            raise KeyError(f"unknown link-flow element {(i, j, f)}") from None
         length = self._len
         left = length[p]
         if max_packets < left:
@@ -318,6 +316,7 @@ class QueueMatrix:
         q = self._down[p]
         deliver = q == self._size
         dst = None if deliver else self._fifo[q]
+        f = self._flow[p]
         hist = self.delay_hist[f]
         dsum = 0
         # the loop also stops when the batches run out before the counter
@@ -370,12 +369,12 @@ class QueueMatrix:
         zero exactly when its FIFO holds no batch.
         """
         length, arrived, served, fifos = self._len, self._arrived, self._served, self._fifo
-        for q, up in self._ledger:
+        for q, up in self.index.ledger:
             fifo = fifos[q]
             have = length[q]
             expect = arrived[q] + served[up] - served[q]
             if have != expect or (have == 0) != (not fifo):
-                i, _, f = self.triples[q]
+                i, _, f = self.index.triples[q]
                 raise SimulationInvariantError(
                     f"slot {slot}: queue balance broken at node {i} flow {f}: "
                     f"have {have} ({sum(c for _, c in fifo)} in batches), ledger says {expect}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -344,8 +345,10 @@ def scenario_from_dict(doc: dict, name_fallback: str = "scenario") -> ScenarioCo
         fixed_rates = {}
         link_set = set(links)
         for key, val in fr.items():
+            # the "-" that ends the first id, which may carry a sign: "-1-2" is link (-1, 2)
+            ids = re.fullmatch(r"(\s*-?[^-]+)-(.+)", str(key), re.DOTALL)
             try:
-                i, j = (int(part) for part in str(key).split("-"))
+                i, j = (int(part) for part in (ids.groups() if ids else ()))
             except ValueError:
                 raise ConfigError(f'channel.fixed_rates: keys look like "i-j", got {key!r}')
             if (i, j) not in link_set:

@@ -9,12 +9,12 @@ packets per slot, after which that slot's exogenous arrivals are enqueued.
 A packet therefore spends at least one slot per hop, and the cumulative
 arrival/service ledger reproduces every queue length exactly.
 
-The engine works in element positions: the schedule's active positions and
-the service budgets of the scheduled positions go straight to
-``step_slot``, and the queues
-move packets in arrival-slot batches (see ``QueueMatrix``). Batching changes
-the cost, not the semantics: head-of-line order, at least one slot per hop
-and the exact ledger are as they would be with one entry per packet.
+The engine works in element positions from end to end: the schedule's
+active positions, their service budgets and the arrivals at each source's
+queue position go straight to ``step_slot``, and the queues move packets in
+arrival-slot batches (see ``QueueMatrix``). Batching changes the cost, not
+the semantics: head-of-line order, at least one slot per hop and the exact
+ledger are as they would be with one entry per packet.
 """
 
 from __future__ import annotations
@@ -129,32 +129,33 @@ def step_slot(
     queues: QueueMatrix,
     active: list[int],
     service: Union[Sequence[int], Mapping[int, int]],
-    arrivals: list[tuple[tuple[int, int], int]],
+    arrivals: list[tuple[int, int]],
     slot: int,
 ) -> None:
     """Advance one slot: serve the scheduled elements, then enqueue arrivals.
 
     ``active`` lists element positions; ``service[p]`` (a list or a dict
     over the scheduled positions) is element p's per-slot packet budget
-    (floor of the link rate); ``arrivals`` pairs
-    (source node, flow) with an int packet count. Active elements are
-    verified node-disjoint, so transfers read consistent start-of-slot
+    (floor of the link rate); ``arrivals`` pairs a source's queue position
+    ``index.queue[(node, flow)]`` with an int packet count. Active elements
+    are verified node-disjoint, so transfers read consistent start-of-slot
     queues in any order, and the exact queue ledger is checked after the
     arrivals. The slot's effects are read from ``queues`` alone.
     """
-    triples = queues.triples
-    seen: set[int] = set()
+    index = queues.index
+    eca, ecb = index.elem_ca, index.elem_cb
+    seen: set[int] = set()  # node constraints, one per node
     for p in active:
-        i, j, f = triples[p]
-        if i in seen or j in seen:
+        a, b = eca[p], ecb[p]
+        if a in seen or b in seen:
             raise SimulationInvariantError(
-                f"slot {slot}: interference violation at element {(i, j, f)}"
+                f"slot {slot}: interference violation at element {index.triples[p]}"
             )
-        seen.add(i)
-        seen.add(j)
-        queues.transfer(i, j, f, service[p], slot)
-    for (node, flow), count in arrivals:
-        queues.add_arrivals(node, flow, count, slot)
+        seen.add(a)
+        seen.add(b)
+        queues.transfer(p, service[p], slot)
+    for q, count in arrivals:
+        queues.add_arrivals(q, count, slot)
     queues.verify_balance(slot)
 
 
@@ -207,8 +208,8 @@ def run(
     triples = index.triples
     flow_ids = index.flow_ids
     link_pos = index.link_offsets(channel.positions)
-    source_list = list(arrivals.sources)
-    source_range = range(len(source_list))
+    source_queue = [index.queue[source] for source in arrivals.sources]
+    source_range = range(len(source_queue))
     flow_backlog = queues.flow_backlog
 
     reviews: list[ReviewRecord] = []
@@ -234,7 +235,7 @@ def run(
         stop = min(t + period, horizon)
         for t in range(start, stop):
             counts = arrivals.draw(t).tolist()
-            arr = [(source_list[s], counts[s]) for s in compress(source_range, counts)]
+            arr = [(source_queue[s], counts[s]) for s in compress(source_range, counts)]
             active = schedule.active[t - start]
             step_slot(queues, active, service, arr, t)
             if record_schedule:

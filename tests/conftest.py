@@ -76,8 +76,8 @@ def fixed_channel(model, rate):
 def queues_with(model, lengths, slot=0):
     """QueueMatrix preloaded with given {(node, flow): count} backlogs."""
     queues = QueueMatrix(model)
-    for (node, flow), count in lengths.items():
-        queues.add_arrivals(node, flow, count, slot)
+    for source, count in lengths.items():
+        queues.add_arrivals(model.link_flow_index.queue[source], count, slot)
     return queues
 
 

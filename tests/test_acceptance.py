@@ -162,7 +162,7 @@ def _coefficient_instance(kind, coeffs):
     channel = ChannelModel(links=model.links, mean_gain={}, fixed_rates=rates)
     queues = QueueMatrix(model)
     for (node, flow), count in queue_load.items():
-        queues.add_arrivals(node, flow, count, 0)
+        queues.add_arrivals(index.queue[(node, flow)], count, 0)
     snap = queues.snapshot()
     for pos in range(len(index)):
         assert snap.differentials[pos] >= 1

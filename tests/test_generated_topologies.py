@@ -140,8 +140,8 @@ def test_allocation_and_schedule_feasible(doc, seed, period):
     index = model.link_flow_index
     queues = QueueMatrix(model)
     rng = random.Random(seed)
-    for (i, f) in index.queue:
-        queues.add_arrivals(i, f, rng.choice([0, 0, 1, 7, 300]), slot=0)
+    for q in index.queue.values():
+        queues.add_arrivals(q, rng.choice([0, 0, 1, 7, 300]), slot=0)
     snapshot = queues.snapshot()
     state = cfg.build_channel().draw(seed)
     alloc = solve_allocation(snapshot, state, model, cfg.build_solver_config(), cfg.build_weight_config())
@@ -159,10 +159,18 @@ def test_allocation_and_schedule_feasible(doc, seed, period):
 @given(scenarios())
 def test_short_runs_keep_invariants_and_repeat_bytes(doc):
     cfg = scenario_from_dict(doc)
+    # each arrival enters at its flow's source queue and nowhere else: the
+    # ledger of a wrong queue would still balance
+    arrivals = cfg.build_arrivals()
+    drawn = sum(arrivals.draw(t) for t in range(cfg.horizon_slots)).tolist()
+    entered = dict.fromkeys(cfg.build_model().link_flow_index.queue, 0)
+    for flow, count in zip(cfg.flows, drawn):  # the arrival sources are in flow order
+        entered[(flow.source, flow.flow_id)] += count
     digests = []
     for _ in range(2):
         result = cfg.run()  # step_slot checks both invariants in every slot
         result.queues.verify_balance(cfg.horizon_slots)
+        assert {queue: result.queues.arrived(*queue) for queue in entered} == entered
         busy = set()
         for slot, i, j, _ in result.schedule_trace:
             assert (slot, i) not in busy and (slot, j) not in busy

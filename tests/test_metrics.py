@@ -50,8 +50,8 @@ class TestFlowMetrics:
         from qwdr import QueueMatrix, RunResult
 
         queues = QueueMatrix(model)
-        queues.add_arrivals(1, 2, 1, slot=10)
-        queues.transfer(1, 2, 2, 1, slot=25)
+        queues.add_arrivals(0, 1, slot=10)  # the one queue and element: (1, 2) and (1, 2, 2)
+        queues.transfer(0, 1, slot=25)
         result = RunResult(
             model=model,
             horizon=30,
@@ -89,10 +89,10 @@ class TestFlowMetrics:
         from qwdr import QueueMatrix, RunResult
 
         queues = QueueMatrix(model)
-        queues.add_arrivals(1, 2, 1, slot=0)
-        queues.transfer(1, 2, 2, 1, slot=3)  # delay 3
-        queues.add_arrivals(1, 2, 1, slot=2)
-        queues.transfer(1, 2, 2, 1, slot=6)  # delay 4
+        queues.add_arrivals(0, 1, slot=0)  # the one queue and element: (1, 2) and (1, 2, 2)
+        queues.transfer(0, 1, slot=3)  # delay 3
+        queues.add_arrivals(0, 1, slot=2)
+        queues.transfer(0, 1, slot=6)  # delay 4
         result = RunResult(
             model=model,
             horizon=10,

@@ -111,12 +111,12 @@ class TestQueueMatrix:
     def test_differential_backlog_examples(self):
         model = three_node_model()
         queues = QueueMatrix(model)
-        queues.add_arrivals(1, 3, 5, slot=0)
-        queues.add_arrivals(2, 3, 2, slot=0)
-        # positions: 0 is (1, 2, 3), 1 is (2, 3, 3)
+        # positions: 0 is (1, 2, 3) serving queue (1, 3), 1 is (2, 3, 3) serving queue (2, 3)
+        queues.add_arrivals(0, 5, slot=0)
+        queues.add_arrivals(1, 2, slot=0)
         assert queues.snapshot().differentials[0] == 3
         # clamp at zero when downstream is longer
-        queues.add_arrivals(2, 3, 6, slot=1)
+        queues.add_arrivals(1, 6, slot=1)
         assert queues.snapshot().differentials[0] == 0
         # destination queue counts as empty
         assert queues.snapshot().differentials[1] == 8
@@ -125,11 +125,11 @@ class TestQueueMatrix:
         model = three_node_model()
         queues = QueueMatrix(model)
         for slot in (0, 1, 2):
-            queues.add_arrivals(1, 3, 1, slot=slot)
-        queues.transfer(1, 2, 3, 2, slot=5)   # heads move first
+            queues.add_arrivals(0, 1, slot=slot)  # queue (1, 3)
+        queues.transfer(0, 2, slot=5)   # (1, 2, 3): heads move first
         assert queues.length(1, 3) == 1
         assert queues.length(2, 3) == 2
-        queues.transfer(2, 3, 3, 5, slot=7)   # delivery records delays 7-0, 7-1
+        queues.transfer(1, 5, slot=7)   # (2, 3, 3): delivery records delays 7-0, 7-1
         assert queues.delivered[3] == 2
         assert queues.delay_sum[3] == 7 + 6
         assert queues.delay_hist[3] == {7: 1, 6: 1}
@@ -137,9 +137,9 @@ class TestQueueMatrix:
     def test_conservation_and_balance(self):
         model = three_node_model()
         queues = QueueMatrix(model)
-        queues.add_arrivals(1, 3, 4, slot=0)
-        queues.transfer(1, 2, 3, 3, slot=1)
-        queues.transfer(2, 3, 3, 2, slot=2)
+        queues.add_arrivals(0, 4, slot=0)  # queue (1, 3)
+        queues.transfer(0, 3, slot=1)  # (1, 2, 3)
+        queues.transfer(1, 2, slot=2)  # (2, 3, 3)
         queues.verify_balance(slot=2)
         assert queues.injected == 4
         assert queues.total == 2
@@ -148,8 +148,8 @@ class TestQueueMatrix:
     def test_snapshot_matches_lengths(self):
         model = three_node_model()
         queues = QueueMatrix(model)
-        queues.add_arrivals(1, 3, 5, slot=0)
-        queues.add_arrivals(2, 3, 1, slot=0)
+        queues.add_arrivals(0, 5, slot=0)  # queue (1, 3)
+        queues.add_arrivals(1, 1, slot=0)  # queue (2, 3)
         snap = queues.snapshot()
         assert snap.flow_backlogs == {3: 6}
         assert list(snap.differentials) == [4, 1]

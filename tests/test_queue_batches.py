@@ -64,7 +64,7 @@ class PacketQueues:
 
 
 def batches(queues, i, f):
-    return list(queues._fifo[queues._queue[(i, f)]])
+    return list(queues._fifo[queues.index.queue[(i, f)]])
 
 
 def assert_same_state(queues, ref):
@@ -72,7 +72,7 @@ def assert_same_state(queues, ref):
         held = batches(queues, i, f)
         expanded = [slot for slot, count in held for _ in range(count)]
         assert expanded == list(packets)  # same packets, same order: head of line included
-        assert sum(count for _, count in held) == queues._len[queues._queue[(i, f)]]
+        assert sum(count for _, count in held) == queues._len[queues.index.queue[(i, f)]]
         assert all(count > 0 for _, count in held)
         slots = [slot for slot, _ in held]
         assert slots == sorted(set(slots))  # at most one batch per arrival slot
@@ -89,7 +89,7 @@ def assert_same_state(queues, ref):
     assert queues.total == sum(len(p) for p in ref.queues.values())
 
 
-# one operation: (slot advance, arrival or transfer, which source or element, count or budget)
+# one operation: (slot advance, arrival or transfer, which source queue or element, count or budget)
 OPERATION = st.tuples(
     st.integers(0, 2), st.booleans(), st.integers(0, 100), st.integers(0, 6)
 )
@@ -102,18 +102,20 @@ def test_batched_queues_match_packet_reference(model_name, ops):
     model = MODELS[model_name]()
     queues = QueueMatrix(model)
     ref = PacketQueues(model)
-    sources = [(fl.source, fl.flow_id) for fl in model.flows]
-    triples = model.link_flow_index.triples
+    index = model.link_flow_index
+    sources = [index.queue[(fl.source, fl.flow_id)] for fl in model.flows]
+    triples = index.triples
     slot = 0
     for advance, is_arrival, which, amount in ops:
         slot += advance
         if is_arrival:
-            i, f = sources[which % len(sources)]
-            queues.add_arrivals(i, f, amount, slot)
+            q = sources[which % len(sources)]
+            i, _, f = triples[q]
+            queues.add_arrivals(q, amount, slot)
             ref.add_arrivals(i, f, amount, slot)
         else:
-            i, j, f = triples[which % len(triples)]
-            assert queues.transfer(i, j, f, amount, slot) == ref.transfer(i, j, f, amount, slot)
+            p = which % len(triples)
+            assert queues.transfer(p, amount, slot) == ref.transfer(*triples[p], amount, slot)
         assert_same_state(queues, ref)
         queues.verify_balance(slot)
 
@@ -122,14 +124,14 @@ class TestInvariantsFire:
     def test_corrupted_length_counter(self):
         queues = queues_with(tandem_model(), {(1, 3): 4})
         queues.verify_balance(0)
-        queues._len[queues._queue[(1, 3)]] += 1
+        queues._len[queues.index.queue[(1, 3)]] += 1
         with pytest.raises(SimulationInvariantError, match="node 1 flow 3"):
             queues.verify_balance(0)
 
     def test_corrupted_downstream_length_counter(self):
         queues = queues_with(tandem_model(), {(1, 3): 4})
-        queues.transfer(1, 2, 3, 2, slot=1)
-        queues._len[queues._queue[(2, 3)]] -= 1
+        queues.transfer(0, 2, slot=1)  # element (1, 2, 3)
+        queues._len[queues.index.queue[(2, 3)]] -= 1
         with pytest.raises(SimulationInvariantError, match="node 2 flow 3"):
             queues.verify_balance(1)
 

@@ -250,6 +250,22 @@ class TestLoadScenario:
             assert echo[section] == settings[section]
         assert scenario_from_dict(echo).to_json_dict() == echo
 
+    def test_negative_ids_in_fixed_rates_load_back(self):
+        # the echo names link (-1, 2) "-1-2" and link (2, -3) "2--3": the
+        # loader must read the signs instead of splitting at every "-"
+        doc = {
+            "links": [[-1, 2], [2, -3]],
+            "flows": [{"id": -3, "source": -1, "route": [-1, 2, -3], "rate": 1.0}],
+            "channel": {"fixed_rates": 2.0},
+            "run": {"horizon_slots": 20},
+        }
+        echo = scenario_from_dict(doc).to_json_dict()
+        assert echo["channel"]["fixed_rates"] == {"-1-2": 2.0, "2--3": 2.0}
+        loaded = scenario_from_dict(echo)
+        assert loaded.fixed_rates == {(-1, 2): 2.0, (2, -3): 2.0}
+        assert loaded.to_json_dict() == echo
+        assert loaded.run().queues.injected > 0
+
 
 class TestPaper15Preset:
     def test_structure(self):

@@ -122,7 +122,7 @@ class TestStepSlot:
             queues,
             active=[0],
             service=[4],
-            arrivals=[((1, 2), 2)],
+            arrivals=[(0, 2)],  # queue (1, 2)
             slot=0,
         )
         # serve the start-of-slot queue, then enqueue
@@ -132,7 +132,7 @@ class TestStepSlot:
     def test_no_active_elements_queues_grow(self):
         model = single_link_model()
         queues = queues_with(model, {})
-        step_slot(queues, active=[], service=[0], arrivals=[((1, 2), 5)], slot=0)
+        step_slot(queues, active=[], service=[0], arrivals=[(0, 5)], slot=0)
         assert queues.length(1, 2) == 5
 
     def test_relay_chain_two_slots(self):
