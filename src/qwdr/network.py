@@ -90,7 +90,7 @@ class LinkFlowIndex:
     * per element: the constraints of its two endpoints (``elem_ca``,
       ``elem_cb``), the size of their supports' intersection
       (``elem_overlap``), whether the supports coincide (``elem_same``), and
-      its flow's offset in ``flow_ids`` (``elem_flow``);
+      its flow id (``elem_flow``), the one key of a flow everywhere;
     * the queues: queue (i, f) sits at the position ``queue[(i, f)]`` of the
       element that serves it; ``down[p]`` is the queue element p feeds
       (``size`` at the destination), and ``ledger`` pairs each queue with its
@@ -127,9 +127,7 @@ class LinkFlowIndex:
         self.elem_cb = [self.node_constraint[j] for i, j, f in triples]
         self.elem_overlap = [len(set(members[i]) & set(members[j])) for i, j, f in triples]
         self.elem_same = [members[i] == members[j] for i, j, f in triples]
-        self.flow_ids = [flow.flow_id for flow in flows]
-        flow_offset = {f: n for n, f in enumerate(self.flow_ids)}
-        self.elem_flow = [flow_offset[f] for i, j, f in triples]
+        self.elem_flow = [f for i, j, f in triples]
         self.down = [size if j == f else self.queue[(j, f)] for i, j, f in triples]
         self.ledger: list[tuple[int, int]] = []
         for flow in flows:
@@ -188,11 +186,11 @@ class NetworkModel:
 class QueueSnapshot:
     """Queue state frozen at a review instant.
 
-    ``differentials[p]`` is max(Q_i - Q_j, 0) for the element at position p
-    (index order); ``flow_backlogs[f]`` is the network-wide backlog of flow f.
+    ``differentials[p]`` is max(Q_i - Q_j, 0), a Python int, for the element
+    at position p (index order); ``flow_backlogs[f]`` is flow f's backlog.
     """
 
-    differentials: np.ndarray
+    differentials: list[int]
     flow_backlogs: dict[int, int]
 
 
@@ -215,8 +213,8 @@ class QueueMatrix:
     (``LinkFlowIndex``, kept as ``index``): queue (i, f) sits at the position
     ``index.queue[(i, f)]`` of the one element that serves it, (i, next hop,
     f). ``transfer`` and ``add_arrivals`` take these positions and read the
-    flow from a per-position list; ``length``, ``arrived`` and ``served``
-    read the ledger by node and flow ids. Each queue keeps its length
+    flow id from the table's ``elem_flow``; ``length``, ``arrived`` and
+    ``served`` read the ledger by node and flow ids. Each queue keeps its length
     in a counter that the batch operations update by the packets they move;
     cumulative arrival (per queue) and service (per element) counters back
     the exact queue-balance check. Each flow's backlog (``flow_backlog``) and
@@ -228,7 +226,7 @@ class QueueMatrix:
         self.index = index = model.link_flow_index
         size = index.size
         self._size = size
-        self._flow = [f for _, _, f in index.triples]
+        self._flow = index.elem_flow
         self._down = index.down
         self._fifo: list[deque] = [deque() for _ in range(size)]
         # the spare last entry is the destination's length and the served
@@ -357,8 +355,7 @@ class QueueMatrix:
 
     def snapshot(self) -> QueueSnapshot:
         length = self._len
-        dif = np.array([length[p] - length[q] for p, q in enumerate(self._down)], dtype=np.int64)
-        np.maximum(dif, 0, out=dif)
+        dif = [d if (d := length[p] - length[q]) > 0 else 0 for p, q in enumerate(self._down)]
         return QueueSnapshot(dif, dict(self.flow_backlog))
 
     def verify_balance(self, slot: int) -> None:

@@ -33,7 +33,7 @@ CAPACITY_TOLERANCE = 1e-7
 
 
 class SizeError(ValueError):
-    """Instance exceeds the enumeration scale these references are built for."""
+    """Instance exceeds the scale or the number range these references are built for."""
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def stepwise_allocation(
 ) -> np.ndarray:
     """Stepwise reference of ``solve_allocation``'s shortcuts.
 
-    Reads every element's gradient through the link map and the numpy
+    Reads every element's gradient through the link map and the snapshot's
     differentials, steps every element with g > 0 in every cycle, with no
     calm fast path, and finalizes over its own list of those elements. The
     projecting loop is the solver's ``_project_cycles``. It returns the bits
@@ -395,8 +395,11 @@ def capacity_membership(query: CapacityQuery) -> CapacityResult:
     from scipy.optimize import linprog  # only this LP needs scipy; the run path never loads it
 
     res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"capacity LP failed: {res.message}")
+    if not res.success:  # eps is free and x lies on a simplex: an optimum always exists
+        raise SizeError(
+            f"capacity LP failed: {res.message}; HiGHS cannot take this instance's numbers; "
+            "it refuses matrix entries (mean rates) of 1e15 and above"
+        )
     eps = float(-res.fun)
     x = res.x[:n_sets]
     schedule = np.zeros(index.size)

@@ -16,12 +16,8 @@ from typing import Optional
 
 from . import simulate
 from .network import POISSON_LAM_MAX, FlowSpec, Link, NetworkModel
-from .solver import SolverConfig, WeightConfig
+from .solver import ConfigError, SolverConfig, WeightConfig
 from .stochastic import ArrivalProcess, ChannelModel
-
-
-class ConfigError(ValueError):
-    """Scenario rejected; the message names the offending field."""
 
 
 def _setting(default, section, low=None, strict=False, choices=None, fallback=None):

@@ -206,7 +206,7 @@ def run(
     queues = QueueMatrix(model)
     index = model.link_flow_index
     triples = index.triples
-    flow_ids = index.flow_ids
+    flow_ids = [fl.flow_id for fl in model.flows]
     link_pos = index.link_offsets(channel.positions)
     source_queue = [index.queue[source] for source in arrivals.sources]
     source_range = range(len(source_queue))
@@ -226,7 +226,7 @@ def run(
         snap = queues.snapshot()
         alloc = solve_allocation(snap, state, model, solver_cfg, weight_cfg)
         schedule = create_schedule(alloc, model, period)
-        zero_scheduled += int(schedule.counts[snap.differentials == 0].sum())
+        zero_scheduled += sum(not snap.differentials[p] for active in schedule.active for p in active)
         reviews.append(ReviewRecord(review_index, t, t + period, total))
         rates = state.rates.tolist()
         # packets per slot of each scheduled element: the floor of its link rate
@@ -234,7 +234,7 @@ def run(
         start = t
         stop = min(t + period, horizon)
         for t in range(start, stop):
-            counts = arrivals.draw(t).tolist()
+            counts = arrivals.draw(t)
             arr = [(source_queue[s], counts[s]) for s in compress(source_range, counts)]
             active = schedule.active[t - start]
             step_slot(queues, active, service, arr, t)

@@ -86,6 +86,10 @@ CALM_BOUND = 1.0 - 1e-6
 CALM_MAX_STEPS = 10**9
 
 
+class ConfigError(ValueError):
+    """Scenario rejected; the message names the offending field."""
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """Logistic queue weighting: w(x, xbar) = 1 + a1 / (1 + exp(-a2 (x - xbar))).
@@ -190,21 +194,19 @@ def gradient_vector(
 def _live_gradients(snapshot, channel, model, weight_cfg) -> tuple[list[int], list[float]]:
     """The positions with a non-zero differential, ascending, and their gradients.
 
-    Every other element's gradient is w * 0 * mu = 0. A flow's weight is
+    The differentials are the snapshot's Python ints. Every other element's
+    gradient is w * 0 * mu = 0; a flow's weight, keyed by its flow id, is
     computed only when one of its elements is live.
     """
     index = model.link_flow_index
-    dl = snapshot.differentials.tolist()
+    dl = snapshot.differentials
     live = list(compress(range(index.size), dl))
     if not live:
         return live, []
     backlogs = snapshot.flow_backlogs
     thresholds = weight_cfg.thresholds
-    flow_ids, elem_flow = index.flow_ids, index.elem_flow
-    w = {}
-    for fp in {elem_flow[k] for k in live}:
-        f = flow_ids[fp]
-        w[fp] = weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg)
+    elem_flow = index.elem_flow
+    w = {f: weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg) for f in {elem_flow[k] for k in live}}
     rates = channel.rates.tolist()
     link = index.link_offsets(channel.positions)
     return live, [w[elem_flow[k]] * dl[k] * rates[link[k]] for k in live]
@@ -273,7 +275,9 @@ def _project_cycles(
 
     Each step ``(k, a, b, d)`` bumps element k by d, then projects onto its
     endpoint constraints a and b when either one is violated by more than
-    ``tol``, with the kernel ``oracle.project_pair`` uses.
+    ``tol``, with the kernel ``oracle.project_pair`` uses. A bump or node sum
+    beyond the float range leaves an entry at inf or NaN, and such an entry
+    stays so; one test of the iterate's sum then raises ``ConfigError``.
     """
     # flat state with incrementally maintained constraint sums; every element
     # belongs to exactly two constraints, so one coordinate change updates two
@@ -304,6 +308,8 @@ def _project_cycles(
                     sub(members[a], la)
                 if lb:
                     sub(members[b], lb)
+    if not math.isfinite(sum(s)):
+        raise ConfigError("solver.alpha: alpha x gradient overflowed the float range in a solver step")
     return s
 
 

@@ -207,15 +207,19 @@ class ArrivalProcess:
             raise ValueError("arrival rates must be >= 0")
         self._key = _philox_key(seed, ARRIVAL_STREAM)
         self._block_index = -1
-        self._block: Optional[np.ndarray] = None
+        self._block: Optional[list[list[int]]] = None
 
-    def draw(self, slot: int) -> np.ndarray:
-        """Arrival counts aligned with ``sources``; same slot -> same counts."""
+    def draw(self, slot: int) -> list[int]:
+        """Arrival counts aligned with ``sources``; same slot -> same counts.
+
+        Python ints: each block is drawn as one array and turned into nested
+        lists once; the row is the block's own list, not a copy.
+        """
         if slot < 0:
             raise ValueError("slot must be >= 0")
         block, offset = divmod(slot, self._BLOCK)
         if block != self._block_index:
             rng = _rng_at(self._key, block)
-            self._block = rng.poisson(self.rates, size=(self._BLOCK, len(self.sources)))
+            self._block = rng.poisson(self.rates, size=(self._BLOCK, len(self.sources))).tolist()
             self._block_index = block
         return self._block[offset]

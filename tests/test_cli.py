@@ -158,6 +158,24 @@ class TestRun:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    # alpha x gradient beyond the float range: a huge alpha on a small
+    # backlog, or the default alpha on a huge rate x backlog
+    @pytest.mark.parametrize(
+        "alpha, rate, fixed_rate",
+        [(1e307, 1.5, 4.0), (1.7e308, 1.5, 4.0), (None, 1e18, 1e300)],
+        ids=["alpha-1e307", "alpha-1.7e308", "rates-1e300"],
+    )
+    def test_overflowing_solver_step_exit_code(self, tmp_path, capsys, alpha, rate, fixed_rate):
+        doc = tandem_doc(rate)
+        doc["links"].append([1, 3])
+        doc["flows"].append({"id": 2, "source": 1, "route": [1, 2], "rate": rate})
+        doc["channel"]["fixed_rates"] = fixed_rate
+        if alpha is not None:
+            doc["solver"] = {"alpha": alpha}
+        assert main(["run", write_scenario(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "solver.alpha" in err and "overflowed" in err
+
     @pytest.mark.parametrize("section, key, value", BAD_FIELDS)
     def test_bad_solver_and_weight_fields_exit_code(self, tmp_path, capsys, section, key, value):
         doc = tandem_doc()
@@ -184,6 +202,17 @@ class TestCapacity:
         path = write_scenario(tmp_path, tandem_doc())
         assert main(["capacity", path, "--max-sets", "1"]) == 3
         assert "too large" in capsys.readouterr().err
+
+    def test_rates_beyond_the_lp_solver_exit_code(self, tmp_path, capsys):
+        # the LP always has an optimum, but HiGHS refuses matrix entries of
+        # 1e15 and above
+        doc = tandem_doc()
+        doc["channel"]["fixed_rates"] = 1e14
+        assert main(["capacity", write_scenario(tmp_path, doc)]) == 0
+        doc["channel"]["fixed_rates"] = 1e15
+        assert main(["capacity", write_scenario(tmp_path, doc, name="fast.json")]) == 3
+        err = capsys.readouterr().err
+        assert "instance too large" in err and "HiGHS" in err
 
 
 class TestPaper15:

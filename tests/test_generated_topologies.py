@@ -105,7 +105,6 @@ def test_element_table_matches_brute_force(doc):
     assert index.node_constraint == {n: c for c, n in enumerate(nodes)}
     assert index.members == [[p for p, (i, j, _) in enumerate(triples) if n in (i, j)] for n in nodes]
     assert index.sizes == [sum(n in (i, j) for i, j, _ in triples) for n in nodes]
-    assert index.flow_ids == [fl.flow_id for fl in model.flows]
     routes = {fl.flow_id: fl.route for fl in model.flows}
     for p, (i, j, f) in enumerate(triples):
         assert index.elem_ca[p] == nodes.index(i)
@@ -114,7 +113,7 @@ def test_element_table_matches_brute_force(doc):
         touching_i = {q for q, (a, b, _) in enumerate(triples) if i in (a, b)}
         touching_j = {q for q, (a, b, _) in enumerate(triples) if j in (a, b)}
         assert index.elem_same[p] == (touching_i == touching_j)
-        assert index.flow_ids[index.elem_flow[p]] == f
+        assert index.elem_flow[p] == f
         assert index.queue[(i, f)] == p
         route = routes[f]
         hop = route.index(j)
@@ -162,7 +161,7 @@ def test_short_runs_keep_invariants_and_repeat_bytes(doc):
     # each arrival enters at its flow's source queue and nowhere else: the
     # ledger of a wrong queue would still balance
     arrivals = cfg.build_arrivals()
-    drawn = sum(arrivals.draw(t) for t in range(cfg.horizon_slots)).tolist()
+    drawn = [sum(column) for column in zip(*(arrivals.draw(t) for t in range(cfg.horizon_slots)))]
     entered = dict.fromkeys(cfg.build_model().link_flow_index.queue, 0)
     for flow, count in zip(cfg.flows, drawn):  # the arrival sources are in flow order
         entered[(flow.source, flow.flow_id)] += count

@@ -152,4 +152,5 @@ class TestQueueMatrix:
         queues.add_arrivals(1, 1, slot=0)  # queue (2, 3)
         snap = queues.snapshot()
         assert snap.flow_backlogs == {3: 6}
-        assert list(snap.differentials) == [4, 1]
+        assert snap.differentials == [4, 1]
+        assert all(type(d) is int for d in snap.differentials)  # Python ints, no int64 bound

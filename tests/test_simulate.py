@@ -241,6 +241,49 @@ class TestRun:
         assert res.queues.delivered_total / res.horizon == pytest.approx(1.5, rel=0.05)
         assert res.queues.total_peak < 200
 
+    def test_zero_backlog_audit_counts_granted_slots(self, monkeypatch):
+        # flow 4 has no arrivals, so its element's differential is 0 at every
+        # review; the allocation still gives it half of every period, and the
+        # busy element its share only while it has a differential backlog
+        flows = [
+            FlowSpec(flow_id=2, source=1, route=(1, 2), arrival_rate=1.0),
+            FlowSpec(flow_id=4, source=3, route=(3, 4), arrival_rate=0.0),
+        ]
+        model = NetworkModel(nodes=[1, 2, 3, 4], links=[(1, 2), (3, 4)], flows=flows)
+        positions = model.link_flow_index.positions
+        busy, idle = positions[(1, 2, 2)], positions[(3, 4, 4)]
+
+        def allocate(snapshot, *args):
+            alloc = np.zeros(2)
+            alloc[idle] = 0.5
+            if snapshot.differentials[busy] > 0:
+                alloc[busy] = 1.0
+            return alloc
+
+        monkeypatch.setattr("qwdr.simulate.solve_allocation", allocate)
+        arrivals = ArrivalProcess([(1, 2), (3, 4)], [1.0, 0.0], seed=2)
+        res = run(model, fixed_channel(model, 2.2), arrivals, horizon=3000, k0=1.0, record_schedule=True)
+        # the links share no node: the idle element gets ceil(0.5 x period)
+        # slots of every period, the last one past the horizon included
+        periods = [r.end - r.start for r in res.reviews]
+        assert max(periods) > 1 and any(i == 1 for _, i, _, _ in res.schedule_trace)
+        assert res.zero_backlog_scheduled == sum(math.ceil(0.5 * n) for n in periods)
+
+    def test_queue_beyond_int64_runs_to_end(self):
+        # 9e18 packets a slot is below numpy's Poisson limit; after two slots
+        # the queue holds more than an int64 can
+        doc = {
+            "name": "int64",
+            "links": [[1, 2], [2, 3]],
+            "flows": [{"id": 3, "source": 1, "route": [1, 2, 3], "rate": 9e18}],
+            "channel": {"fixed_rates": 4.0},
+            "review": {"k0": 0},
+            "run": {"horizon_slots": 10},
+        }
+        net = collect_metrics(scenario_from_dict(doc).run())["network"]
+        assert net["in_flight"] > 2**63
+        assert net["injected"] == net["delivered"] + net["in_flight"]
+
     def test_schedule_trace_recorded(self):
         model = single_link_model(1.0)
         channel = fixed_channel(model, 2.2)
@@ -256,7 +299,7 @@ def assert_flow_statistics_match_samples(result):
     Checked twice: in the queue ledger, and in the ``collect_metrics``
     document built from it.
     """
-    flow_ids = result.model.link_flow_index.flow_ids
+    flow_ids = [fl.flow_id for fl in result.model.flows]
     horizon = result.horizon
     queues = result.queues
     sums = queues.flow_backlog_slot_sums(horizon)

@@ -164,6 +164,7 @@ class TestArrivalProcess:
     def test_slot_addressable_independent_of_order(self):
         ap = ArrivalProcess([(1, 3), (2, 3)], [1.0, 4.0], seed=5)
         forward = [ap.draw(s).copy() for s in range(1000)]
+        assert all(type(c) is int for row in forward for c in row)
         ap2 = ArrivalProcess([(1, 3), (2, 3)], [1.0, 4.0], seed=5)
         for s in reversed(range(1000)):
             assert np.array_equal(ap2.draw(s), forward[s])
