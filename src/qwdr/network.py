@@ -5,7 +5,8 @@ node-exclusive: any two links that touch a common node may never be active in
 the same slot. Every (link, flow) pair that can ever carry traffic -- i.e.
 every consecutive hop of every route -- is a *link-flow element*, and the
 set of all elements is indexed by its positions 0..K-1, the one index the
-solver, scheduler and slot engine share.
+solver, scheduler and slot engine share. That element table is static: it
+holds each element's link and keeps no channel state.
 
 Queue state is kept in packet batches: each (node, flow) FIFO holds
 ``[arrival_slot, count]`` entries, one per source arrival slot still
@@ -90,7 +91,8 @@ class LinkFlowIndex:
     * per element: the constraints of its two endpoints (``elem_ca``,
       ``elem_cb``), the size of their supports' intersection
       (``elem_overlap``), whether the supports coincide (``elem_same``), and
-      its flow id (``elem_flow``), the one key of a flow everywhere;
+      its flow id (``elem_flow``), the one key of a flow everywhere, and its
+      link (``elem_link``);
     * the queues: queue (i, f) sits at the position ``queue[(i, f)]`` of the
       element that serves it; ``down[p]`` is the queue element p feeds
       (``size`` at the destination), and ``ledger`` pairs each queue with its
@@ -128,6 +130,7 @@ class LinkFlowIndex:
         self.elem_overlap = [len(set(members[i]) & set(members[j])) for i, j, f in triples]
         self.elem_same = [members[i] == members[j] for i, j, f in triples]
         self.elem_flow = [f for i, j, f in triples]
+        self.elem_link: list[Link] = [(i, j) for i, j, f in triples]
         self.down = [size if j == f else self.queue[(j, f)] for i, j, f in triples]
         self.ledger: list[tuple[int, int]] = []
         for flow in flows:
@@ -136,22 +139,9 @@ class LinkFlowIndex:
                 q = self.queue[(node, flow.flow_id)]
                 self.ledger.append((q, up))
                 up = q
-        self._link_map: Optional[dict] = None
-        self._elem_link: list[int] = []
 
     def __len__(self) -> int:
         return self.size
-
-    def link_offsets(self, positions: dict) -> list[int]:
-        """Each element's link offset under a channel's ``positions`` map.
-
-        Every state drawn from one ``ChannelModel`` shares its map, so the
-        list is built once per channel and kept while the same map comes in.
-        """
-        if positions is not self._link_map:
-            self._elem_link = [positions[(i, j)] for (i, j, f) in self.triples]
-            self._link_map = positions
-        return self._elem_link
 
 
 class NetworkModel:
@@ -178,7 +168,8 @@ class NetworkModel:
         self.link_flow_index = LinkFlowIndex(self.flows)
 
     def solver_workspace(self) -> LinkFlowIndex:
-        """The element table, ``link_flow_index``, under its former name."""
+        """The element table, ``link_flow_index``: ``perfbench/one_run.py`` is its
+        last caller, until ROADMAP item 1 moves that script to ``ScenarioConfig.run``."""
         return self.link_flow_index
 
 

@@ -279,7 +279,7 @@ def stepwise_allocation(
         for fl in model.flows
     }
     link_pos = channel.positions
-    rates = channel.rates.tolist()
+    rates = channel.rates
     glist = [
         w[f] * float(snapshot.differentials[pos]) * rates[link_pos[(i, j)]]
         for pos, (i, j, f) in enumerate(index.triples)

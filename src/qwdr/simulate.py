@@ -207,7 +207,7 @@ def run(
     index = model.link_flow_index
     triples = index.triples
     flow_ids = [fl.flow_id for fl in model.flows]
-    link_pos = index.link_offsets(channel.positions)
+    link_pos = [channel.positions[link] for link in index.elem_link]
     source_queue = [index.queue[source] for source in arrivals.sources]
     source_range = range(len(source_queue))
     flow_backlog = queues.flow_backlog
@@ -228,9 +228,8 @@ def run(
         schedule = create_schedule(alloc, model, period)
         zero_scheduled += sum(not snap.differentials[p] for active in schedule.active for p in active)
         reviews.append(ReviewRecord(review_index, t, t + period, total))
-        rates = state.rates.tolist()
         # packets per slot of each scheduled element: the floor of its link rate
-        service = {p: int(rates[link_pos[p]]) for p in set().union(*schedule.active)}
+        service = {p: int(state.rates[link_pos[p]]) for p in set().union(*schedule.active)}
         start = t
         stop = min(t + period, horizon)
         for t in range(start, stop):

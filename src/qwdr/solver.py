@@ -194,9 +194,10 @@ def gradient_vector(
 def _live_gradients(snapshot, channel, model, weight_cfg) -> tuple[list[int], list[float]]:
     """The positions with a non-zero differential, ascending, and their gradients.
 
-    The differentials are the snapshot's Python ints. Every other element's
-    gradient is w * 0 * mu = 0; a flow's weight, keyed by its flow id, is
-    computed only when one of its elements is live.
+    The differentials are the snapshot's Python ints and the rates the
+    draw's Python floats, read through the channel's link map. Every other
+    element's gradient is w * 0 * mu = 0; a flow's weight, keyed by its flow
+    id, is computed only when one of its elements is live.
     """
     index = model.link_flow_index
     dl = snapshot.differentials
@@ -207,9 +208,8 @@ def _live_gradients(snapshot, channel, model, weight_cfg) -> tuple[list[int], li
     thresholds = weight_cfg.thresholds
     elem_flow = index.elem_flow
     w = {f: weight(backlogs.get(f, 0), thresholds.get(f), weight_cfg) for f in {elem_flow[k] for k in live}}
-    rates = channel.rates.tolist()
-    link = index.link_offsets(channel.positions)
-    return live, [w[elem_flow[k]] * dl[k] * rates[link[k]] for k in live]
+    rates, link_pos, elem_link = channel.rates, channel.positions, index.elem_link
+    return live, [w[elem_flow[k]] * dl[k] * rates[link_pos[elem_link[k]]] for k in live]
 
 
 def solve_allocation(

@@ -50,11 +50,13 @@ class ChannelState:
 
     ``positions`` maps each link to its offset in ``gains`` and ``rates``,
     the order of ``ChannelModel.links``; every state drawn from one
-    ``ChannelModel`` shares its map.
+    ``ChannelModel`` shares its map. ``rates`` is a tuple of Python floats,
+    converted once per draw, which solver and slot loop read as it is;
+    ``gains`` is the samplers' numpy array.
     """
 
     gains: np.ndarray
-    rates: np.ndarray
+    rates: tuple[float, ...]
     positions: dict[Link, int] = field(repr=False)
 
 
@@ -69,8 +71,9 @@ class ChannelModel:
 
     Fading gains are capped at ``truncation_factor`` times the link mean so
     that rates stay bounded; a fixed channel's rates are computed once, at
-    construction. ``fixed_rates`` pins the rate map directly (the gain
-    is back-computed), which keeps integer floors exact in tests.
+    construction, and every draw shares them. ``fixed_rates`` pins the rate
+    map directly (the gain is back-computed), which keeps integer floors
+    exact in tests.
     """
 
     def __init__(
@@ -112,7 +115,7 @@ class ChannelModel:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        self._fixed_rates: Optional[np.ndarray] = None  # every draw's rates on a fixed channel
+        self._fixed_rates: Optional[tuple[float, ...]] = None  # every draw's rates on a fixed channel
         if fixed_rates is not None:
             if not isinstance(fixed_rates, dict):
                 raise ValueError("fixed_rates: expected a map of link -> rate")
@@ -122,8 +125,8 @@ class ChannelModel:
             unknown = [l for l in fixed_rates if l not in self.positions]
             if unknown:
                 raise ValueError(f"fixed_rates: rates for links {unknown} that are not in links")
-            self._fixed_rates = np.array([float(fixed_rates[l]) for l in self.links])
-            if not np.all(self._fixed_rates >= 0):
+            self._fixed_rates = tuple(float(fixed_rates[l]) for l in self.links)
+            if not all(r >= 0 for r in self._fixed_rates):  # written so that NaN fails
                 raise ValueError("fixed_rates: rates must be >= 0")
             # a run reads only the fixed rates; the back-computed gain is inf above rate ~709
             with np.errstate(over="ignore"):
@@ -133,13 +136,14 @@ class ChannelModel:
             self.mean_gain = np.array([float(mean_gain[l]) for l in self.links])
             if not np.all(self.mean_gain >= 0):
                 raise ValueError("mean gains must be >= 0")
+        self.mean_gain.flags.writeable = False  # a fixed channel's draws share it
         self._rayleigh_scale = self.mean_gain / np.sqrt(np.pi / 2.0)  # amplitude model
         # an overflow gives inf: a fading link's cap or a fixed link's rate is
         # rejected; a fixed channel never applies its cap
         with np.errstate(over="ignore"):
             self.gain_cap = self.mean_gain * self.truncation_factor
             if self._fixed_rates is None and gain_model == "fixed":
-                self._fixed_rates = achievable_rate(self.mean_gain, self.sigma2)
+                self._fixed_rates = tuple(achievable_rate(self.mean_gain, self.sigma2).tolist())
             if not np.isfinite(self.max_rate):
                 raise ValueError("link rates are unbounded: gain / sigma2 overflows")
 
@@ -147,7 +151,7 @@ class ChannelModel:
     def link_max_rates(self) -> np.ndarray:
         """The largest rate each link can draw, aligned with ``links``."""
         if self._fixed_rates is not None:
-            return self._fixed_rates
+            return np.array(self._fixed_rates)
         return achievable_rate(self.gain_cap, self.sigma2)
 
     @property
@@ -175,7 +179,7 @@ class ChannelModel:
         if review_index < 0:
             raise ValueError("review index must be >= 0")
         if self._fixed_rates is not None:
-            return ChannelState(self.mean_gain.copy(), self._fixed_rates.copy(), self.positions)
+            return ChannelState(self.mean_gain, self._fixed_rates, self.positions)
         # the samplers' own arithmetic on one standard exponential draw per
         # link: exponential(mean) is mean * e, rayleigh(scale) is
         # scale * sqrt(2 e); the same bits, without the per-element calls
@@ -185,7 +189,7 @@ class ChannelModel:
         else:
             gains = self._rayleigh_scale * np.sqrt(2.0 * e)
         gains = np.minimum(gains, self.gain_cap)
-        return ChannelState(gains, achievable_rate(gains, self.sigma2), self.positions)
+        return ChannelState(gains, tuple(achievable_rate(gains, self.sigma2).tolist()), self.positions)
 
 
 class ArrivalProcess:

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qwdr import ScenarioConfig
 from qwdr.cli import main
 from conftest import BAD_FIELDS, set_field
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -239,3 +245,46 @@ class TestPaper15:
 
     def test_bad_row(self, capsys):
         assert main(["paper15", "--row", "7"]) == 2
+
+
+class TestExitPathsAsUserSeesThem:
+    """``python -m qwdr.cli`` in a fresh interpreter: exit code and stderr.
+
+    ``main()`` called in-process lets an uncaught exception propagate into
+    pytest, which never prints it to the captured stderr; only a separate
+    process shows what a user sees.
+    """
+
+    @staticmethod
+    def cli(tmp_path, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "qwdr.cli", *args],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    def test_run_exits_0(self, tmp_path):
+        proc = self.cli(tmp_path, "run", write_scenario(tmp_path, tandem_doc()), "--slots", "200")
+        assert proc.returncode == 0, proc.stderr
+        assert "total queue" in proc.stdout
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize(
+        "rate, command, flags, code, message",
+        [
+            (-1, "validate", [], 2, "configuration error: flows[0]"),
+            (1.5, "run", ["--slots", "0"], 2, "configuration error: run.horizon_slots"),
+            (1.5, "capacity", ["--max-sets", "1"], 3, "instance too large: "),
+        ],
+        ids=["validate-2", "run-2", "capacity-3"],
+    )
+    def test_error_exit(self, tmp_path, rate, command, flags, code, message):
+        proc = self.cli(tmp_path, command, write_scenario(tmp_path, tandem_doc(rate)), *flags)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(message), proc.stderr
+        assert "Traceback" not in proc.stderr

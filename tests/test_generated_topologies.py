@@ -127,8 +127,7 @@ def test_element_table_matches_brute_force(doc):
             up = size if n == 0 else triples.index((route[n - 1], route[n], f))
             ledger.append((triples.index((route[n], route[n + 1], f)), up))
     assert index.ledger == ledger
-    channel = cfg.build_channel()
-    assert index.link_offsets(channel.positions) == [channel.positions[(i, j)] for i, j, _ in triples]
+    assert index.elem_link == [(i, j) for i, j, _ in triples]
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,20 +6,25 @@ import pytest
 
 from qwdr import (
     ArrivalProcess,
+    ChannelModel,
     FlowSpec,
     NetworkModel,
     QueueMatrix,
+    QueueSnapshot,
     SimulationInvariantError,
     SolverConfig,
     WeightConfig,
     collect_metrics,
     create_schedule,
+    gradient_vector,
     make_paper15_scenario,
     next_review_period,
     run,
     scenario_from_dict,
+    solve_allocation,
     step_slot,
 )
+from qwdr.oracle import stepwise_allocation
 from conftest import fixed_channel, load_workloads, queues_with, tandem_model
 
 
@@ -291,6 +296,50 @@ class TestRun:
         res = run(model, channel, arrivals, horizon=200, record_schedule=True)
         assert res.schedule_trace
         assert all(len(row) == 4 for row in res.schedule_trace)
+
+
+class TestChannelLinkOrder:
+    """A channel that lists its links in another order than the model's.
+
+    The model sorts its links, while a channel keeps the order it is given
+    and a scenario file's ``links`` order when ``bidirectional`` is false.
+    Every bundled and generated scenario lists its links sorted, so only a
+    reversed channel shows that each element reads its rate at the
+    channel's position of its link.
+    """
+
+    LINKS = [(1, 2), (2, 3), (3, 4), (4, 5)]
+    RATES = {(1, 2): 1.5, (2, 3): 2.5, (3, 4): 3.5, (4, 5): 4.5}  # packets per slot 1 .. 4
+    ROUTES = {5: [1, 2, 3, 4, 5], 3: [1, 2, 3]}
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05], ids=["calm", "projecting"])
+    def test_solver_reads_each_rate_at_its_link(self, alpha):
+        flows = [FlowSpec(flow_id=f, source=1, route=r, arrival_rate=1.0) for f, r in self.ROUTES.items()]
+        model = NetworkModel(nodes=range(1, 6), links=self.LINKS, flows=flows)
+        channel = ChannelModel(links=self.LINKS[::-1], mean_gain={}, fixed_rates=self.RATES).draw(0)
+        triples = model.link_flow_index.triples
+        snap = QueueSnapshot([4, 6, 3, 5, 2, 1], {3: 7, 5: 18})
+        expected = [d * self.RATES[(i, j)] for d, (i, j, _) in zip(snap.differentials, triples)]
+        assert gradient_vector(snap, channel, model, WeightConfig()).tolist() == expected
+        cfg = SolverConfig(alpha=alpha)
+        alloc = solve_allocation(snap, channel, model, cfg)
+        assert alloc.tobytes() == stepwise_allocation(snap, channel, model, cfg).tobytes()
+
+    def test_run_outputs_do_not_depend_on_link_order(self):
+        outputs = []
+        for links in (self.LINKS, self.LINKS[::-1]):
+            doc = {
+                "name": "chain",
+                "links": [list(link) for link in links],
+                "flows": [{"id": f, "source": 1, "route": r, "rate": 0.3} for f, r in self.ROUTES.items()],
+                "channel": {"fixed_rates": {f"{i}-{j}": r for (i, j), r in self.RATES.items()}},
+                "run": {"horizon_slots": 3000, "seed": 4},
+            }
+            cfg = scenario_from_dict(doc)
+            assert cfg.build_channel().links == tuple(links)
+            metrics = collect_metrics(cfg.run(), cfg)
+            outputs.append({key: metrics[key] for key in ("flows", "network", "reviews")})
+        assert outputs[0] == outputs[1]
 
 
 def assert_flow_statistics_match_samples(result):

@@ -82,7 +82,7 @@ class TestChannelModel:
         # a fixed channel never applies its truncation cap
         ch = ChannelModel([(1, 2)], {(1, 2): 1.0}, gain_model="fixed")
         state = ch.draw(4)
-        assert state.rates.tobytes() == achievable_rate(np.array([1.0])).tobytes()
+        assert np.array(state.rates).tobytes() == achievable_rate(np.array([1.0])).tobytes()
         assert ch.max_rate == state.rates[state.positions[(1, 2)]] == math.log(2.0)
 
     @pytest.mark.filterwarnings("error")
@@ -126,7 +126,7 @@ class TestChannelGeneratorReuse:
             state = ch.draw(index)
             gains = self.fresh_gains(ch, index)
             assert state.gains.tobytes() == gains.tobytes(), index
-            assert state.rates.tobytes() == achievable_rate(gains, ch.sigma2).tobytes(), index
+            assert np.array(state.rates).tobytes() == achievable_rate(gains, ch.sigma2).tobytes(), index
 
     @pytest.mark.parametrize("gain_model", ["power", "amplitude"])
     def test_sampler_arithmetic_identity(self, gain_model):
