@@ -161,10 +161,10 @@ class NetworkModel:
         ids = [fl.flow_id for fl in self.flows]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate flow ids")
-        for flow in self.flows:
+        for n, flow in enumerate(self.flows):
             for hop in flow.hops:
                 if hop not in link_set:
-                    raise ValueError(f"flow {flow.flow_id}: route hop {hop} is not a link")
+                    raise ValueError(f"flows[{n}].route: hop {hop} of flow {flow.flow_id} is not a link")
         self.link_flow_index = LinkFlowIndex(self.flows)
 
     def solver_workspace(self) -> LinkFlowIndex:

@@ -103,15 +103,6 @@ class ScenarioConfig:
                     mean_gain[(i, j)] = self.gain_scale / d2
             built = {
                 "_model": model,
-                "_channel": ChannelModel(
-                    links=self.links,
-                    mean_gain=mean_gain,
-                    sigma2=self.sigma2,
-                    truncation_factor=self.truncation_factor,
-                    gain_model=self.gain_model,
-                    seed=self.channel_seed,
-                    fixed_rates=self.fixed_rates,
-                ),
                 "_arrivals": ArrivalProcess(
                     [(fl.source, fl.flow_id) for fl in self.flows],
                     [fl.arrival_rate for fl in self.flows],
@@ -124,6 +115,20 @@ class ScenarioConfig:
             }
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            built["_channel"] = ChannelModel(
+                links=self.links,
+                mean_gain=mean_gain,
+                sigma2=self.sigma2,
+                truncation_factor=self.truncation_factor,
+                gain_model=self.gain_model,
+                seed=self.channel_seed,
+                fixed_rates=self.fixed_rates,
+            )
+        except ValueError as exc:
+            # without fixed rates, a link has no mean gain where its nodes have no coordinates
+            lacking = self.fixed_rates is None and len(mean_gain) < len(model.links)
+            raise ConfigError(f"nodes: {exc}" if lacking else str(exc)) from exc
         for name, obj in built.items():
             object.__setattr__(self, name, obj)
 
@@ -243,6 +248,8 @@ def _parse_link(obj, where) -> Link:
     i, j = obj
     if type(i) is not int or type(j) is not int:
         raise ConfigError(f"{where}: link endpoints must be integer node ids")
+    if i == j:  # here, where the file's own index is known: bidirectional re-sorts the links
+        raise ConfigError(f"{where}: self-loop link [{i}, {j}] is not allowed")
     return (i, j)
 
 

@@ -1,20 +1,21 @@
 """Seeded random processes: slow-fading channel gains and Poisson arrivals.
 
-Every draw is addressed, not streamed: sample index (review index for the
-channel, slot for arrivals) is fed into a counter-based generator, so
-(seed, stream, index) fully determines each sample and processes can be
-replayed or evaluated out of order. A weighted run and its unweighted twin
-with the same seeds therefore share arrivals slot for slot. Fading is keyed
-by review index, so they share it only until their review clocks diverge:
-from then on the same review index starts at different slots. For the
-bundled paper15 preset with seed 1, rows 1 and 2 diverge at review 2184,
-which starts at slot 4348 in one run and at slot 4349 in the other.
+Every draw is addressed, not streamed: one stream type, ``_Stream``, moves
+a counter-based generator to each sample index (review index for the
+channel, 512-slot block for arrivals), so (seed, stream, index) fully
+determines each sample and processes can be replayed or evaluated out of
+order. A weighted run and its unweighted twin with the same seeds
+therefore share arrivals slot for slot. Fading is keyed by review index,
+so they share it only until their review clocks diverge: from then on the
+same review index starts at different slots. For the bundled paper15
+preset with seed 1, rows 1 and 2 diverge at review 2184, which starts at
+slot 4348 in one run and at slot 4349 in the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy loads it on first use: load it here, not in a build)
@@ -26,17 +27,31 @@ CHANNEL_STREAM = 0
 ARRIVAL_STREAM = 1
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    return np.random.SeedSequence([int(seed), int(stream)]).generate_state(2, np.uint64)
+class _Stream:
+    """Philox draws addressed by (seed, stream tag, index).
 
-
-def _rng_at(key: np.ndarray, index: int) -> np.random.Generator:
-    """Generator positioned at a counter block reserved for ``index``.
-
-    Blocks are spaced 2^128 counter steps apart, far beyond what one draw can
-    consume, so different indices never see overlapping Philox output.
+    ``at(index)`` moves the stream's one generator to counter block
+    ``index << 128`` with an empty output buffer: the state a new
+    ``Philox(key, counter=index << 128)`` starts in, without building one.
+    Blocks are 2^128 counter steps apart, far beyond what one draw can
+    consume, so different indices never see overlapping Philox output. The
+    generator is shared, so draws from one stream must not overlap in time
+    (the simulator draws from one thread).
     """
-    return np.random.Generator(np.random.Philox(key=key, counter=int(index) << 128))
+
+    def __init__(self, seed: int, tag: int):
+        self.key = np.random.SeedSequence([int(seed), int(tag)]).generate_state(2, np.uint64)
+        self._bitgen = np.random.Philox(key=self.key)
+        self._rng = np.random.Generator(self._bitgen)
+        self._state = self._bitgen.state  # a new generator's: counter 0, output buffer used up
+
+    def at(self, index: int) -> np.random.Generator:
+        index = int(index)
+        counter = self._state["state"]["counter"]
+        counter[2] = index & 0xFFFF_FFFF_FFFF_FFFF
+        counter[3] = index >> 64
+        self._bitgen.state = self._state
+        return self._rng
 
 
 def achievable_rate(gain, sigma2: float = 1.0):
@@ -103,18 +118,7 @@ class ChannelModel:
         self.sigma2 = float(sigma2)
         self.truncation_factor = float(truncation_factor)
         self.gain_model = gain_model
-        self._key = _philox_key(seed, CHANNEL_STREAM)
-        # one generator, moved to each draw's counter block (see ``_seek``)
-        self._bitgen = np.random.Philox(key=self._key)
-        self._rng = np.random.Generator(self._bitgen)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,  # buffer used up: the next output starts a new block
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._stream = _Stream(seed, CHANNEL_STREAM)
         self._fixed_rates: Optional[tuple[float, ...]] = None  # every draw's rates on a fixed channel
         if fixed_rates is not None:
             if not isinstance(fixed_rates, dict):
@@ -159,21 +163,6 @@ class ChannelModel:
         """The largest rate any draw can give."""
         return float(self.link_max_rates.max(initial=0.0))
 
-    def _seek(self, index: int) -> np.random.Generator:
-        """The model's generator in the state ``_rng_at(key, index)`` starts in.
-
-        Sets the Philox counter to ``index << 128`` with an empty output
-        buffer, as a new generator at that counter has, without building one.
-        The generator is shared, so draws from one model must not overlap in
-        time (the simulator draws from one thread).
-        """
-        index = int(index)
-        counter = self._state["state"]["counter"]
-        counter[2] = index & 0xFFFF_FFFF_FFFF_FFFF
-        counter[3] = index >> 64
-        self._bitgen.state = self._state
-        return self._rng
-
     def draw(self, review_index: int) -> ChannelState:
         """Fresh i.i.d. gains for every link; same index -> same state."""
         if review_index < 0:
@@ -183,7 +172,7 @@ class ChannelModel:
         # the samplers' own arithmetic on one standard exponential draw per
         # link: exponential(mean) is mean * e, rayleigh(scale) is
         # scale * sqrt(2 e); the same bits, without the per-element calls
-        e = self._seek(review_index).standard_exponential(len(self.links))
+        e = self._stream.at(review_index).standard_exponential(len(self.links))
         if self.gain_model == "power":
             gains = e * self.mean_gain
         else:
@@ -209,7 +198,7 @@ class ArrivalProcess:
             raise ValueError("one rate per (source, flow) required")
         if np.any(self.rates < 0):
             raise ValueError("arrival rates must be >= 0")
-        self._key = _philox_key(seed, ARRIVAL_STREAM)
+        self._stream = _Stream(seed, ARRIVAL_STREAM)
         self._block_index = -1
         self._block: Optional[list[list[int]]] = None
 
@@ -223,7 +212,7 @@ class ArrivalProcess:
             raise ValueError("slot must be >= 0")
         block, offset = divmod(slot, self._BLOCK)
         if block != self._block_index:
-            rng = _rng_at(self._key, block)
+            rng = self._stream.at(block)
             self._block = rng.poisson(self.rates, size=(self._BLOCK, len(self.sources))).tolist()
             self._block_index = block
         return self._block[offset]

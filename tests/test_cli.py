@@ -114,6 +114,14 @@ class TestRun:
         assert "--out: cannot write" in err and str(taken) in err
         assert "Traceback" not in err
 
+    def test_out_unwritable_after_the_run_exit_code(self, tmp_path, capsys):
+        # the directory can be made, but the metrics file cannot be written into it
+        path = write_scenario(tmp_path, tandem_doc())
+        out_dir = tmp_path / "out"
+        (out_dir / "metrics.json").mkdir(parents=True)
+        assert main(["run", path, "--slots", "50", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: --out: cannot write {out_dir}: ")
+
     def test_negative_queue_sample_interval_exit_code(self, tmp_path, capsys):
         doc = tandem_doc()
         doc["run"]["queue_sample_interval"] = -7

@@ -103,8 +103,21 @@ class TestFlowSpec:
 class TestNetworkModel:
     def test_route_through_missing_link_rejected(self):
         flows = [FlowSpec(flow_id=3, source=1, route=(1, 2, 3), arrival_rate=1.0)]
-        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+        with pytest.raises(ValueError, match=r"^flows\[0\]\.route: hop \(2, 3\) of flow 3 is not a link$"):
             NetworkModel(nodes=[1, 2, 3], links=[(1, 2)], flows=flows)
+
+    @pytest.mark.parametrize(
+        "nodes, links, flow_ids, message",
+        [
+            ([1, 2], [(1, 2), (2, 3)], [2], r"^link \(2,3\) references an unknown node$"),
+            ([1, 2], [(1, 2)], [2, 2], r"^duplicate flow ids$"),
+        ],
+        ids=["unknown-node", "duplicate-ids"],
+    )
+    def test_bad_input_rejected(self, nodes, links, flow_ids, message):
+        flows = [FlowSpec(flow_id=f, source=1, route=(1, 2), arrival_rate=1.0) for f in flow_ids]
+        with pytest.raises(ValueError, match=message):
+            NetworkModel(nodes=nodes, links=links, flows=flows)
 
 
 class TestQueueMatrix:

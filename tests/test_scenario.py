@@ -42,7 +42,7 @@ class TestLoadScenario:
         doc["flows"] = [{"id": 2, "source": 1, "route": [1, 3, 2], "rate": 1.0}]
         doc["nodes"]["3"] = [0.2, 0.2]
         doc["links"] = [[1, 2], [1, 3]]
-        with pytest.raises(ConfigError, match=r"\(3, 2\)"):
+        with pytest.raises(ConfigError, match=r"^flows\[0\]\.route: hop \(3, 2\) of flow 2 is not a link$"):
             scenario_from_dict(doc)
 
     def test_negative_rate_rejected_with_field(self):
@@ -162,6 +162,59 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match=message):
             scenario_from_dict({**minimal_doc(), **edit})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param([minimal_doc()], r"^scenario: top-level document must be an object$", id="document"),
+            pytest.param({**minimal_doc(), "solver": 3}, r"^solver: expected an object$", id="section"),
+            pytest.param(
+                {**minimal_doc(), "nodes": {"1": [0.0, 0.0], "2": [0.0, 0.0]}},
+                r"^nodes: nodes 1 and 2 share coordinates$",
+                id="shared-coordinates",
+            ),
+            pytest.param(
+                {**minimal_doc(), "nodes": {"1": [0.0, 0.0], "b": [0.5, 0.0]}},
+                r"^nodes\.b: node ids must be integers$",
+                id="node-id",
+            ),
+            pytest.param(
+                {**minimal_doc(), "nodes": {"1": [0.0, 0.0], "2": [0.5]}},
+                r"^nodes\.2: coordinates must be \[x, y\]$",
+                id="coordinates",
+            ),
+            pytest.param(
+                {**minimal_doc(), "links": [[1, 2, 3]]}, r"^links\[0\]: a link is a pair \[i, j\]$", id="link"
+            ),
+            pytest.param(
+                {**minimal_doc(), "links": [[1, 2], [2, 2]]},
+                r"^links\[1\]: self-loop link \[2, 2\] is not allowed$",
+                id="self-loop",
+            ),
+            pytest.param(  # bidirectional re-sorts the links: the index is still the file's own
+                {**minimal_doc(), "links": [[1, 2], [2, 2]], "bidirectional": True},
+                r"^links\[1\]: self-loop link \[2, 2\] is not allowed$",
+                id="self-loop-bidirectional",
+            ),
+            pytest.param(
+                {**minimal_doc(), "links": [[1, 2.0]]},
+                r"^links\[0\]: link endpoints must be integer node ids$",
+                id="link-endpoint",
+            ),
+            pytest.param(
+                {**minimal_doc(), "flows": []}, r"^flows: at least one flow is required$", id="no-flows"
+            ),
+            pytest.param({**minimal_doc(), "flows": [3]}, r"^flows\[0\]: expected an object$", id="flow"),
+            pytest.param(
+                {**minimal_doc(), "channel": {"fixed_rates": {"1+2": 3.0}}},
+                r"^channel\.fixed_rates: keys look like \"i-j\", got '1\+2'$",
+                id="fixed-rate-key",
+            ),
+        ],
+    )
+    def test_malformed_field_named(self, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            scenario_from_dict(doc)
+
     def test_missing_links_rejected(self):
         doc = minimal_doc()
         doc.pop("links")
@@ -181,7 +234,7 @@ class TestLoadScenario:
     def test_channel_requires_geometry_or_fixed_rates(self):
         doc = minimal_doc()
         doc.pop("nodes")
-        with pytest.raises(ConfigError, match="coordinates"):
+        with pytest.raises(ConfigError, match=r"^nodes: no mean gain for links \[\(1, 2\)\]"):
             scenario_from_dict(doc)
         doc["channel"] = {"fixed_rates": 2.0}
         cfg = scenario_from_dict(doc)

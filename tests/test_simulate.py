@@ -61,6 +61,22 @@ def single_link_model(rate=1.0):
     return NetworkModel(nodes=[1, 2], links=[(1, 2)], flows=flows)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: next_review_period(-1, 0.01), r"^total queue must be finite and >= 0$"),
+        (lambda: next_review_period(math.inf, 0.01), r"^total queue must be finite and >= 0$"),
+        (lambda: create_schedule(np.zeros(2), single_link_model(), 1), r"^allocation must have 1 entries$"),
+        (lambda: create_schedule(np.zeros(1), single_link_model(), 0), r"^period must be >= 1$"),
+        (lambda: run(single_link_model(), None, None, 0), r"^horizon must be >= 1$"),
+    ],
+    ids=["backlog", "inf-backlog", "length", "period", "horizon"],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestCreateSchedule:
     def test_single_link_half_allocation(self):
         model = single_link_model()

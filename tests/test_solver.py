@@ -55,6 +55,21 @@ class TestConfigs:
             config(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WeightConfig(thresholds={2: -1.0}), r"^flow 2: queue threshold must be >= 0$"),
+        (lambda: suboptimality_bound(0.0, 2, 1.0), r"^alpha and element count must be positive$"),
+        (lambda: suboptimality_bound(1e-4, 0, 1.0), r"^alpha and element count must be positive$"),
+        (lambda: suboptimality_bound(1e-4, 2, -1.0), r"^grad_max must be >= 0$"),
+    ],
+    ids=["threshold", "alpha", "elements", "grad-max"],
+)
+def test_bad_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestWeight:
     def test_midpoint_value(self):
         cfg = WeightConfig(a1=0.2, a2=2.0)
@@ -370,7 +385,6 @@ class TestSolverStepIsProjectPair:
             total = cons[node].value(s)
             if total > 1.0:
                 s[members] /= total
-        s[np.asarray(snap.differentials) == 0] = 0.0
         return s
 
     @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwdr import ArrivalProcess, ChannelModel, achievable_rate
-from qwdr.stochastic import ARRIVAL_STREAM, CHANNEL_STREAM, _philox_key, _rng_at
+from qwdr.stochastic import ARRIVAL_STREAM, CHANNEL_STREAM
 
 
 class TestAchievableRate:
@@ -43,7 +43,7 @@ class TestChannelModel:
         # a shared seed still gives the channel and the arrivals different Philox keys
         channel = one_link_channel(seed=9)
         arrivals = ArrivalProcess([(1, 3)], [5.0], seed=9)
-        assert channel._key.tobytes() != arrivals._key.tobytes()
+        assert channel._stream.key.tobytes() != arrivals._stream.key.tobytes()
 
     def test_truncation_bounds_gain_and_rate(self):
         ch = one_link_channel(truncation_factor=2.0)
@@ -102,14 +102,15 @@ class TestChannelModel:
 
 
 class TestChannelGeneratorReuse:
-    """One generator per model, moved to each draw's counter block."""
+    """One stream type addresses every draw: its one generator, moved to each
+    draw's counter block, gives the bits of a new generator built there."""
 
     LINKS = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
 
     @staticmethod
     def fresh_gains(ch, index):
         """The gains of a new generator built at ``index``'s counter block."""
-        rng = _rng_at(ch._key, index)
+        rng = np.random.Generator(np.random.Philox(key=ch._stream.key, counter=int(index) << 128))
         if ch.gain_model == "power":
             gains = rng.exponential(ch.mean_gain)
         else:
@@ -158,8 +159,9 @@ class TestArrivalProcess:
     def test_stream_separation(self):
         # arrivals draw from their own stream, never from the channel's under one seed
         arrivals = ArrivalProcess([(1, 3)], [5.0], seed=9)
-        assert arrivals._key.tobytes() == _philox_key(9, ARRIVAL_STREAM).tobytes()
-        assert arrivals._key.tobytes() != _philox_key(9, CHANNEL_STREAM).tobytes()
+        key = arrivals._stream.key.tobytes()
+        assert key == np.random.SeedSequence([9, ARRIVAL_STREAM]).generate_state(2, np.uint64).tobytes()
+        assert key != np.random.SeedSequence([9, CHANNEL_STREAM]).generate_state(2, np.uint64).tobytes()
 
     def test_slot_addressable_independent_of_order(self):
         ap = ArrivalProcess([(1, 3), (2, 3)], [1.0, 4.0], seed=5)
@@ -172,3 +174,38 @@ class TestArrivalProcess:
     def test_rates_validated(self):
         with pytest.raises(ValueError):
             ArrivalProcess([(1, 3)], [-1.0])
+
+    def test_draws_bitwise_equal_to_fresh_generator(self):
+        # each slot reads the block a new generator at the block's counter
+        # draws; shuffled, so every draw moves to another block, and the
+        # largest blocks need the high counter word
+        rates = [0.0, 0.3, 2.5, 40.0]  # 40 takes numpy's rejection sampler
+        ap = ArrivalProcess([(1, 9), (2, 9), (3, 9), (4, 9)], rates, seed=7)
+        key = np.random.SeedSequence([7, ARRIVAL_STREAM]).generate_state(2, np.uint64)
+        pick = np.random.default_rng(5)
+        blocks = list(range(1000)) + [10**6, 2**63 + 5, 2**64 + 3, 2**100]
+        slots = [b * ap._BLOCK + int(pick.integers(ap._BLOCK)) for b in blocks]
+        pick.shuffle(slots)
+        for slot in slots:
+            block, offset = divmod(slot, ap._BLOCK)
+            rng = np.random.Generator(np.random.Philox(key=key, counter=block << 128))
+            fresh = rng.poisson(rates, size=(ap._BLOCK, len(rates))).tolist()[offset]
+            assert ap.draw(slot) == fresh, slot
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: one_link_channel(gain_model="rician"), r"^unknown gain model 'rician'$"),
+        (lambda: one_link_channel(sigma2=0.0), r"^sigma2 must be > 0$"),
+        (lambda: one_link_channel(truncation_factor=0.0), r"^truncation factor must be > 0$"),
+        (lambda: one_link_channel(mean_gain={(1, 2): -1.0}), r"^mean gains must be >= 0$"),
+        (lambda: one_link_channel().draw(-1), r"^review index must be >= 0$"),
+        (lambda: ArrivalProcess([(1, 3), (2, 3)], [1.0]), r"^one rate per \(source, flow\) required$"),
+        (lambda: ArrivalProcess([(1, 3)], [1.0]).draw(-1), r"^slot must be >= 0$"),
+    ],
+    ids=["gain-model", "sigma2", "truncation", "mean-gain", "review-index", "rates", "slot"],
+)
+def test_bad_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
